@@ -218,57 +218,73 @@ Fti::deserializeRegions(const std::uint8_t *data, std::size_t bytes)
 // Metadata
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+// The metadata record: this header, then nprocs MetaRank entries, in
+// host byte order (little-endian on every supported target, like the
+// transform envelopes). Every rank decodes it several times per
+// recovery, so decoding must stay O(1) work per entry: a size check
+// and a memcpy, never a parse.
+constexpr std::uint32_t kMetaMagic = 0x4154454dU; // "META"
+
+struct MetaHeader
+{
+    std::uint32_t magic;
+    std::int32_t ckptId;
+    std::int32_t level;
+    std::int32_t nprocs;
+};
+
+} // namespace
+
 void
 Fti::commitMeta(const MetaInfo &meta)
 {
-    util::IniFile ini;
-    ini.setInt("ckpt", "id", meta.ckptId);
-    ini.setInt("ckpt", "level", meta.level);
-    ini.setInt("ckpt", "nprocs", meta.nprocs);
-    for (int r = 0; r < meta.nprocs; ++r) {
-        ini.setInt("ranks", "bytes" + std::to_string(r),
-                   static_cast<long>(meta.bytesPerRank[r]));
-        ini.set("ranks", "crc" + std::to_string(r),
-                std::to_string(meta.checksumPerRank[r]));
-    }
+    static_assert(sizeof(MetaHeader) == 16 && sizeof(MetaRank) == 16,
+                  "meta record fields must pack without padding");
+    const MetaHeader header{kMetaMagic, meta.ckptId, meta.level,
+                            meta.nprocs};
+    const std::size_t entries = meta.ranks.size() * sizeof(MetaRank);
+    std::vector<std::uint8_t> record(sizeof(header) + entries);
+    std::memcpy(record.data(), &header, sizeof(header));
+    std::memcpy(record.data() + sizeof(header), meta.ranks.data(), entries);
     const std::string path = metaFile(config_, meta.ckptId);
-    const std::string text = ini.toString();
-    ioRetry(
-        [&] { store_.writeAtomic(path, text.data(), text.size()); });
+    ioRetry([&] {
+        store_.writeAtomic(path, record.data(), record.size());
+    });
+}
+
+bool
+Fti::decodeMeta(const storage::Blob &record, int ckpt_id, MetaInfo &meta)
+{
+    MetaHeader header{};
+    if (record.size() >= sizeof(header))
+        std::memcpy(&header, record.data(), sizeof(header));
+    if (header.magic != kMetaMagic || header.ckptId != ckpt_id ||
+        header.level < 1 || header.nprocs < 1 ||
+        record.size() != sizeof(header) + static_cast<std::size_t>(
+                                               header.nprocs) *
+                                               sizeof(MetaRank))
+        return false;
+    meta.ckptId = header.ckptId;
+    meta.level = header.level;
+    meta.nprocs = header.nprocs;
+    meta.ranks.resize(static_cast<std::size_t>(header.nprocs));
+    std::memcpy(meta.ranks.data(), record.data() + sizeof(header),
+                meta.ranks.size() * sizeof(MetaRank));
+    return true;
 }
 
 bool
 Fti::loadMeta(int ckpt_id, MetaInfo &meta) const
 {
-    // Retry exhaustion reads as "metadata missing": recovery walks to
-    // an older committed checkpoint instead of aborting on a tier
-    // fault window.
-    const storage::Blob text =
-        fetchRetry(metaFile(config_, ckpt_id), /*checked=*/true);
-    if (!text)
-        return false;
-    util::IniFile ini;
-    if (!ini.parseString(
-            std::string(reinterpret_cast<const char *>(text.data()),
-                        text.size())))
-        return false;
-    meta.ckptId = static_cast<int>(ini.getInt("ckpt", "id", 0));
-    meta.level = static_cast<int>(ini.getInt("ckpt", "level", 0));
-    meta.nprocs = static_cast<int>(ini.getInt("ckpt", "nprocs", 0));
-    if (meta.ckptId != ckpt_id || meta.level < 1 || meta.nprocs < 1)
-        return false;
-    meta.bytesPerRank.resize(meta.nprocs);
-    meta.checksumPerRank.resize(meta.nprocs);
-    for (int r = 0; r < meta.nprocs; ++r) {
-        meta.bytesPerRank[r] = static_cast<std::size_t>(
-            ini.getInt("ranks", "bytes" + std::to_string(r), -1));
-        const std::string crc =
-            ini.getString("ranks", "crc" + std::to_string(r), "");
-        if (crc.empty())
-            return false;
-        meta.checksumPerRank[r] = std::strtoull(crc.c_str(), nullptr, 10);
-    }
-    return true;
+    // Retry exhaustion and a malformed record both read as "metadata
+    // missing": recovery walks to an older committed checkpoint instead
+    // of aborting.
+    return decodeMeta(
+        fetchRetry(metaFile(config_, ckpt_id), /*checked=*/true), ckpt_id,
+        meta);
 }
 
 int
@@ -487,7 +503,8 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     // store then takes by ownership transfer.
     std::size_t stripe = 0;
     for (int i = 0; i < k; ++i)
-        stripe = std::max(stripe, meta.bytesPerRank[group_lo + i]);
+        stripe =
+            std::max<std::size_t>(stripe, meta.ranks[group_lo + i].bytes);
     std::vector<RsCodec::ShardView> data(k);
     std::vector<storage::Blob> members(k);
     for (int i = 0; i < k; ++i) {
@@ -884,30 +901,15 @@ Fti::checkpoint(int ckpt_id, int level)
 
     // Consistency protocol: gather sizes/checksums at rank 0, which
     // commits the metadata record; everyone waits for the commit.
-    struct Entry
-    {
-        std::uint64_t bytes;
-        std::uint64_t crc;
-    };
     const int size = proc_.runtime().commSize(comm_);
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    Entry mine{blob_bytes, crc};
-    std::vector<Entry> entries(static_cast<std::size_t>(size));
-    proc_.gather(0, &mine, sizeof(mine), entries.data(), comm_);
-
     MetaInfo meta;
     meta.ckptId = ckpt_id;
     meta.level = level;
     meta.nprocs = size;
-    meta.bytesPerRank.resize(size);
-    meta.checksumPerRank.resize(size);
-    if (rank == 0) {
-        for (int r = 0; r < size; ++r) {
-            meta.bytesPerRank[r] =
-                static_cast<std::size_t>(entries[r].bytes);
-            meta.checksumPerRank[r] = entries[r].crc;
-        }
-    }
+    meta.ranks.resize(static_cast<std::size_t>(size));
+    const MetaRank mine{blob_bytes, crc};
+    proc_.gather(0, &mine, sizeof(mine), meta.ranks.data(), comm_);
 
     if (level == 3) {
         // All data files must exist before the leaders encode.
@@ -917,10 +919,8 @@ Fti::checkpoint(int ckpt_id, int level)
         std::uint64_t my_size = blob_bytes;
         proc_.allgather(&my_size, sizeof(my_size), sizes.data(), comm_);
         MetaInfo enc_meta = meta;
-        enc_meta.bytesPerRank.resize(size);
         for (int r = 0; r < size; ++r)
-            enc_meta.bytesPerRank[r] =
-                static_cast<std::size_t>(sizes[r]);
+            enc_meta.ranks[r].bytes = sizes[r];
         encodeGroupParity(ckpt_id, enc_meta);
         proc_.barrier(comm_);
     }
@@ -990,7 +990,8 @@ Fti::reconstructFromGroup(const MetaInfo &meta, bool checked)
     const int m = std::min(k, config_.parityShards);
     std::size_t stripe = 0;
     for (int i = 0; i < k; ++i)
-        stripe = std::max(stripe, meta.bytesPerRank[group_lo + i]);
+        stripe =
+            std::max<std::size_t>(stripe, meta.ranks[group_lo + i].bytes);
 
     std::vector<std::optional<std::vector<std::uint8_t>>> shards(
         static_cast<std::size_t>(k + m));
@@ -1002,9 +1003,9 @@ Fti::reconstructFromGroup(const MetaInfo &meta, bool checked)
             // poison the whole stripe's reconstruction, while treating
             // it as *missing* lets the parity rebuild it.
             if (checked &&
-                (buf.size() != meta.bytesPerRank[group_lo + i] ||
+                (buf.size() != meta.ranks[group_lo + i].bytes ||
                  util::crc32c(buf.data(), buf.size()) !=
-                     meta.checksumPerRank[group_lo + i]))
+                     meta.ranks[group_lo + i].crc))
                 continue;
             buf.resize(stripe, 0);
             shards[i] = std::move(buf);
@@ -1030,7 +1031,7 @@ Fti::reconstructFromGroup(const MetaInfo &meta, bool checked)
                     "[%d, %d)", group_lo, group_hi);
     }
     auto blob = std::move(data[rank - group_lo]);
-    blob.resize(meta.bytesPerRank[rank]);
+    blob.resize(meta.ranks[rank].bytes);
     return blob;
 }
 
@@ -1110,8 +1111,8 @@ storage::Blob
 Fti::readBlobForRecovery(const MetaInfo &meta)
 {
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::uint64_t want_crc = meta.checksumPerRank[rank];
-    const std::size_t want_bytes = meta.bytesPerRank[rank];
+    const std::uint64_t want_crc = meta.ranks[rank].crc;
+    const std::size_t want_bytes = meta.ranks[rank].bytes;
     const auto intact = [&](const storage::Blob &blob) {
         return blob && blob.size() == want_bytes &&
                blob.crc32c() == want_crc;
@@ -1157,8 +1158,8 @@ storage::Blob
 Fti::tryReadBlobChecked(const MetaInfo &meta)
 {
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::uint64_t want_crc = meta.checksumPerRank[rank];
-    const std::size_t want_bytes = meta.bytesPerRank[rank];
+    const std::uint64_t want_crc = meta.ranks[rank].crc;
+    const std::size_t want_bytes = meta.ranks[rank].bytes;
     const auto intact = [&](const storage::Blob &blob) {
         return blob && blob.size() == want_bytes &&
                blob.crc32c() == want_crc;
@@ -1229,7 +1230,7 @@ Fti::loadImage(const MetaInfo &meta, bool checked, int depth)
     proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
         base_meta.level,
         static_cast<std::size_t>(
-            static_cast<double>(base_meta.bytesPerRank[rank]) *
+            static_cast<double>(base_meta.ranks[rank].bytes) *
             config_.virtualFactor),
         proc_.runtime().commSize(comm_)));
     storage::Blob base = loadImage(base_meta, checked, depth + 1);
@@ -1349,7 +1350,7 @@ Fti::recoverChecked()
             drainBarrier();
         const storage::Blob blob = loadImage(meta, /*checked=*/true);
         const double virt_bytes =
-            static_cast<double>(meta.bytesPerRank[rank]) *
+            static_cast<double>(meta.ranks[rank].bytes) *
             config_.virtualFactor;
         proc_.sleepFor(proc_.runtime().costModel().scrubVerify(
             static_cast<std::size_t>(virt_bytes)));
@@ -1420,12 +1421,12 @@ Fti::scrub()
     // nothing to verify and the next recovery handles the fallout.
     const storage::Blob blob = fetchRetry(path, /*checked=*/true);
     const double virt_bytes =
-        static_cast<double>(meta.bytesPerRank[rank]) *
+        static_cast<double>(meta.ranks[rank].bytes) *
         config_.virtualFactor;
     proc_.sleepFor(proc_.runtime().costModel().scrubVerify(
         static_cast<std::size_t>(virt_bytes)));
-    const bool ok = blob && blob.size() == meta.bytesPerRank[rank] &&
-                    blob.crc32c() == meta.checksumPerRank[rank];
+    const bool ok = blob && blob.size() == meta.ranks[rank].bytes &&
+                    blob.crc32c() == meta.ranks[rank].crc;
     if (!ok && blob) {
         // Deleting the rotten object turns a silent-corruption hazard
         // into an ordinary lost-object recovery: the next recover()
@@ -1455,23 +1456,16 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         // Best-effort, like the flip sections below: a read window
         // open at injection time just hides this id from the scan —
         // it must never abort the simulation driver.
-        storage::Blob text;
+        storage::Blob record;
         try {
-            text = storage::fetch(store, metaFile(config, id));
+            record = storage::fetch(store, metaFile(config, id));
         } catch (const storage::StorageError &) {
         }
-        if (!text)
-            continue;
-        util::IniFile ini;
-        if (!ini.parseString(
-                std::string(reinterpret_cast<const char *>(text.data()),
-                            text.size())))
-            continue;
-        const int lvl = static_cast<int>(ini.getInt("ckpt", "level", 0));
-        if (lvl < 1)
+        MetaInfo meta;
+        if (!decodeMeta(record, id, meta))
             continue;
         newest = id;
-        level = lvl;
+        level = meta.level;
     }
     if (newest == 0)
         return;

@@ -195,13 +195,18 @@ class Fti
     static void corruptAtRest(const FtiConfig &config, int rank);
 
   private:
+    /** One rank's entry in the metadata record. */
+    struct MetaRank
+    {
+        std::uint64_t bytes = 0;
+        std::uint64_t crc = 0;
+    };
     struct MetaInfo
     {
         int ckptId = 0;
         int level = 0;
         int nprocs = 0;
-        std::vector<std::size_t> bytesPerRank;
-        std::vector<std::uint64_t> checksumPerRank;
+        std::vector<MetaRank> ranks;
     };
 
     /** Snapshot every protected region into one pooled, sealed blob
@@ -228,6 +233,11 @@ class Fti
                          double factor) const;
     storage::DrainWorker &drain() { return *config_.drain; }
     void commitMeta(const MetaInfo &meta);
+    /** Decode a record commitMeta wrote for `ckpt_id`; false (the
+     *  metadata reads as missing) on any size, magic, id, level or
+     *  nprocs mismatch. */
+    static bool decodeMeta(const storage::Blob &record, int ckpt_id,
+                           MetaInfo &meta);
     bool loadMeta(int ckpt_id, MetaInfo &meta) const;
     int newestCommittedCkpt() const;
     /** Every committed checkpoint id, newest first (the SDC recovery

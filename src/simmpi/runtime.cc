@@ -623,7 +623,11 @@ Runtime::send(int g, CommId comm, Rank dest, Tag tag, const void *buf,
         rs.clock + costModel_.pointToPoint(virtual_bytes) * factor;
 
     RankState &dr = ranks_[destGlobal];
-    if (dr.blockReason == BlockReason::Recv && dr.recvComm == comm &&
+    // A receiver with a rollback or abort pending still shows its stale
+    // Recv block reason, but it will unwind out of that recv without
+    // reading the posted buffer: such a message must go to the mailbox.
+    if (dr.blockReason == BlockReason::Recv && !dr.unwindReinit &&
+        !dr.unwindAbort && dr.recvComm == comm &&
         (dr.recvSrc == anySource || dr.recvSrc == srcLocal) &&
         (dr.recvTag == anyTag || dr.recvTag == tag)) {
         // Rendezvous fast path: the destination is parked inside a

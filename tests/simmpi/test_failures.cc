@@ -193,6 +193,34 @@ TEST(ReinitPolicy, StateRestartedOnlyAfterFailure)
         states_seen.count(static_cast<int>(ReinitState::Restarted)));
 }
 
+TEST(ReinitPolicy, SendToRankAwaitingRollbackIsNotLost)
+{
+    // Rank 0 is parked in recv when rank 1 dies. Recovery marks rank 0
+    // for rollback but leaves it parked; the respawned rank 1 has the
+    // lower clock, runs first and sends. That message must survive
+    // rank 0's rollback and satisfy its re-posted recv.
+    Runtime rt;
+    auto p = plan(0, 1);
+    int received = 0;
+    const JobResult result = rt.runReinit(
+        options(2, ErrorPolicy::Reinit, p),
+        [&](Proc &proc, ReinitState) {
+            if (proc.rank() == 0) {
+                proc.sleepFor(100.0);
+                int value = 0;
+                proc.recv(1, 7, &value, sizeof(value));
+                received = value;
+            } else {
+                proc.iterationPoint(0);
+                const int value = 42;
+                proc.send(0, 7, &value, sizeof(value));
+            }
+        });
+    EXPECT_FALSE(result.aborted);
+    EXPECT_EQ(result.recoveries, 1);
+    EXPECT_EQ(received, 42);
+}
+
 // ---------------------------------------------------------------------------
 // ULFM (Return) policy
 // ---------------------------------------------------------------------------
