@@ -72,8 +72,6 @@ baseCell(const BenchOptions &options)
     cell.noiseSigma = 0.0;
     cell.sandboxDir = options.sandboxDir;
     cell.storage = options.storage;
-    cell.drain = options.drain;
-    cell.drainDepth = options.drainDepth;
     cell.injectFailure = true;
     return cell;
 }

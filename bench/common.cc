@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "src/ft/failure_model.hh"
+#include "src/storage/drain.hh"
 #include "src/util/logging.hh"
 #include "src/util/table.hh"
 
@@ -121,17 +122,6 @@ BenchOptions::parse(int argc, char **argv)
                 options.storage = storage::Kind::Disk;
             else
                 badChoice("--storage", kind, {"mem", "disk"});
-        } else if (arg == "--drain" && i + 1 < argc) {
-            const std::string mode = argv[++i];
-            if (mode == "sync")
-                options.drain = storage::DrainMode::Sync;
-            else if (mode == "async")
-                options.drain = storage::DrainMode::Async;
-            else
-                badChoice("--drain", mode, {"sync", "async"});
-        } else if (arg == "--drain-depth" && i + 1 < argc) {
-            options.drainDepth = static_cast<int>(
-                parseIntFlag("--drain-depth", argv[++i], 0));
         } else if (arg == "--drain-capacity" && i + 1 < argc) {
             options.drainCapacityBytes = static_cast<std::size_t>(
                 parseU64Flag("--drain-capacity", argv[++i]));
@@ -234,8 +224,7 @@ BenchOptions::parse(int argc, char **argv)
             std::printf(
                 "options: [--quick] [--runs N] [--seed S] [--csv DIR] "
                 "[--apps A,B] [--sandbox DIR] [--jobs N] "
-                "[--storage mem|disk] [--drain sync|async] "
-                "[--drain-depth N] [--drain-capacity BYTES] "
+                "[--storage mem|disk] [--drain-capacity BYTES] "
                 "[--pin none|auto|cores] "
                 "[--cell-timeout SECS|auto] [--cell-retries N] "
                 "[--resume|--no-resume] [--strict] "
@@ -254,10 +243,6 @@ BenchOptions::parse(int argc, char **argv)
                 "concurrency; output is identical for any N)\n"
                 "  --storage mem|disk  checkpoint sandbox backend "
                 "(default mem: zero-syscall hot path)\n"
-                "  --drain sync|async  PFS drain execution (default "
-                "async: flush I/O overlaps compute; output identical)\n"
-                "  --drain-depth N  burst-buffer queue bound, 0 = "
-                "unbounded (wall-clock only)\n"
                 "  --pin none|auto|cores  pin grid workers across "
                 "NUMA nodes/cores (auto: only when every worker can "
                 "own a core; workers' blob pools stay node-local; "
@@ -314,7 +299,7 @@ BenchOptions::parse(int argc, char **argv)
                 "  --strict  exit nonzero when any cell was "
                 "quarantined\n"
                 "  --perf    time the grid under both backends and "
-                "both drain modes, write BENCH_<name>.json\n"
+                "an L4 drain row, write BENCH_<name>.json\n"
                 "  valid apps: %s\n",
                 apps::registryNames().c_str());
             std::exit(0);
@@ -342,8 +327,6 @@ BenchOptions::baseSpec() const
     spec.sandboxDir = sandboxDir;
     spec.cacheDir = sandboxDir + "/cell-cache";
     spec.storage = storage;
-    spec.drain = drain;
-    spec.drainDepth = drainDepth;
     spec.failureModel = failureModel;
     spec.meanFailures = meanFailures;
     spec.cascadeProb = cascadeProb;
@@ -456,13 +439,6 @@ struct PerfSample
     core::GridTiming timing;
 };
 
-/** One drain mode's measurement (L4 grid) in a perf record. */
-struct DrainSample
-{
-    storage::DrainMode mode;
-    core::GridTiming timing;
-};
-
 /** One transform kind's measurement (the same L4 drained grid) in a
  *  perf record: wall timing plus the shipped-byte and encoder
  *  counters that prove (or disprove) the byte reduction. */
@@ -470,7 +446,7 @@ struct TransformSample
 {
     storage::TransformKind kind;
     core::GridTiming timing;
-    /** PFS bytes actually shipped by drain jobs during the run. */
+    /** PFS bytes actually shipped by flushes during the run. */
     std::uint64_t shippedBytes = 0;
     storage::TransformStats delta;
     storage::TransformStats compress;
@@ -478,24 +454,21 @@ struct TransformSample
 
 void
 writeJsonTiming(std::FILE *out, const char *key, const char *label,
-                const core::GridTiming &t, bool last,
-                const std::string &extra = std::string())
+                const core::GridTiming &t, bool last)
 {
     const double cells = static_cast<double>(t.cellSeconds.size());
-    // Phase attribution: ckptSerialize/rsEncode/storage are exclusive
-    // scheduler-thread phases, so simCore (everything else the grid
-    // spent: the event loop, app kernels, collectives) is derived by
-    // subtraction. Drain runs on its own thread and overlaps the
-    // others, so it is reported alongside but never subtracted. With
-    // more than one worker the phase sums span threads and simCore is
-    // a lower bound.
+    // Phase attribution: ckptSerialize/rsEncode/storage/drain are
+    // exclusive phases, so simCore (everything else the grid spent:
+    // the event loop, app kernels, collectives) is derived by
+    // subtraction. With more than one worker the phase sums span
+    // threads and simCore is a lower bound.
     const double serialize =
         t.phases.secondsFor(util::Phase::CkptSerialize);
     const double rs = t.phases.secondsFor(util::Phase::RsEncode);
     const double io = t.phases.secondsFor(util::Phase::Storage);
     const double drain = t.phases.secondsFor(util::Phase::Drain);
     const double sim_core =
-        std::max(0.0, t.totalSeconds - serialize - rs - io);
+        std::max(0.0, t.totalSeconds - serialize - rs - io - drain);
     std::fprintf(
         out,
         "    {\"%s\": \"%s\", \"totalSeconds\": %.6f, "
@@ -503,11 +476,11 @@ writeJsonTiming(std::FILE *out, const char *key, const char *label,
         "\"cellsPerSecond\": %.3f, "
         "\"phases\": {\"simCoreSeconds\": %.6f, "
         "\"ckptSerializeSeconds\": %.6f, \"rsEncodeSeconds\": %.6f, "
-        "\"storageSeconds\": %.6f, \"drainSeconds\": %.6f}%s}%s\n",
+        "\"storageSeconds\": %.6f, \"drainSeconds\": %.6f}}%s\n",
         key, label, t.totalSeconds, percentile(t.cellSeconds, 0.50),
         percentile(t.cellSeconds, 0.99),
         t.totalSeconds > 0.0 ? cells / t.totalSeconds : 0.0, sim_core,
-        serialize, rs, io, drain, extra.c_str(), last ? "" : ",");
+        serialize, rs, io, drain, last ? "" : ",");
 }
 
 /**
@@ -518,7 +491,7 @@ void
 writePerfRecord(const BenchOptions &options, const FigureDef &def,
                 int jobs, std::size_t cells,
                 const std::vector<PerfSample> &samples,
-                const std::vector<DrainSample> &drain_samples,
+                const core::GridTiming &drain_timing,
                 const std::vector<TransformSample> &transform_samples,
                 const storage::BlobStats &mem_blob,
                 const std::vector<core::CellFailure> &failures)
@@ -580,36 +553,15 @@ writePerfRecord(const BenchOptions &options, const FigureDef &def,
             ? static_cast<double>(mem_blob.bytesCopied) /
                   static_cast<double>(mem_blob.bytesStored)
             : 0.0);
-    // The drain axis: the same grid forced to L4 checkpoints at a
-    // dense stride (so every cell carries PFS flush traffic), sync vs
-    // async execution.
-    double sync_total = 0.0, async_total = 0.0;
+    // The drain row: the same grid forced to L4 checkpoints at a dense
+    // stride, so every cell carries PFS flush traffic.
     std::fprintf(out, "  \"drainCkptLevel\": 4,\n"
                       "  \"drainCkptStride\": 2,\n"
                       "  \"drain\": [\n");
-    // Async drain only overlaps when the drain worker gets a core the
-    // grid workers are not already saturating: with jobs + 1 threads on
-    // fewer cores the async row measures contention, not overlap, so it
-    // is flagged for perf_guard to skip rather than fail on.
-    const bool undersubscribed =
-        jobs + 1 > core::GridRunner::hardwareJobs();
-    for (std::size_t i = 0; i < drain_samples.size(); ++i) {
-        const bool async =
-            drain_samples[i].mode == storage::DrainMode::Async;
-        writeJsonTiming(out, "mode",
-                        storage::drainModeName(drain_samples[i].mode),
-                        drain_samples[i].timing,
-                        i + 1 == drain_samples.size(),
-                        async ? std::string(", \"undersubscribed\": ") +
-                                    (undersubscribed ? "true" : "false")
-                              : std::string());
-        (async ? async_total : sync_total) =
-            drain_samples[i].timing.totalSeconds;
-    }
-    std::fprintf(out, "  ],\n  \"asyncDrainSpeedupOverSync\": %.3f,\n",
-                 async_total > 0.0 ? sync_total / async_total : 0.0);
+    writeJsonTiming(out, "mode", "sync", drain_timing, true);
+    std::fprintf(out, "  ],\n");
     // Transform axis: the same L4 drained grid swept over the data-
-    // reduction chain. shippedBytes is the drain jobs' actual PFS
+    // reduction chain. shippedBytes is the flushes' actual PFS
     // traffic; the per-stage encoder counters (bytesOut < bytesIn)
     // prove where the reduction came from. Orderable rows: the none
     // row is the baseline the other rows' shippedBytes compare to.
@@ -670,12 +622,10 @@ writePerfRecord(const BenchOptions &options, const FigureDef &def,
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
     std::printf("perf: wrote %s (mem %.2fs vs disk %.2fs, %.2fx; "
-                "L4 drain async %.2fs vs sync %.2fs, %.2fx; "
-                "delta ships %.1f%% fewer PFS bytes)\n",
+                "L4 drain %.2fs; delta ships %.1f%% fewer PFS bytes)\n",
                 path.c_str(), mem_total, disk_total,
                 mem_total > 0.0 ? disk_total / mem_total : 0.0,
-                async_total, sync_total,
-                async_total > 0.0 ? sync_total / async_total : 0.0,
+                drain_timing.totalSeconds,
                 100.0 * (none_shipped > 0
                              ? 1.0 - static_cast<double>(delta_shipped) /
                                          static_cast<double>(none_shipped)
@@ -750,29 +700,17 @@ runFigure(const BenchOptions &options, const FigureDef &def)
                     after.bytesStored - before.bytesStored;
             }
         }
-        // Drain axis: force L4 at a dense stride so every cell carries
-        // substantial PFS flush traffic (the overlap win is bounded by
-        // the flush share), then time sync (inline replay) vs async
-        // (overlap). The sync baseline runs first, mirroring the
-        // disk-first rule. Note the win needs spare cores: a
-        // single-core host measures ~parity by construction.
+        // Drain row: force L4 at a dense stride so every cell carries
+        // substantial PFS flush traffic.
         GridSpec drained = timed;
         drained.storage = storage::Kind::Mem;
         drained.ckptLevels = {4};
         drained.ckptStrides = {2};
-        std::vector<DrainSample> drain_samples;
-        for (const storage::DrainMode mode :
-             {storage::DrainMode::Sync, storage::DrainMode::Async}) {
-            drained.drain = mode;
-            DrainSample sample{mode, {}};
-            runner.run(drained.enumerate(), &sample.timing);
-            drain_samples.push_back(std::move(sample));
-        }
+        core::GridTiming drain_timing;
+        runner.run(drained.enumerate(), &drain_timing);
         // Transform axis: the drained L4 grid again, swept over the
-        // data-reduction chain under the sync drain (inline replay, so
-        // the shipped-byte snapshot brackets exactly this sweep's
-        // jobs). Byte counters are snapshot-diffed around each run.
-        drained.drain = storage::DrainMode::Sync;
+        // data-reduction chain. Byte counters are snapshot-diffed
+        // around each run.
         std::vector<TransformSample> transform_samples;
         for (const storage::TransformKind kind :
              {storage::TransformKind::None, storage::TransformKind::Delta,
@@ -810,7 +748,7 @@ runFigure(const BenchOptions &options, const FigureDef &def)
             transform_samples.push_back(std::move(sample));
         }
         writePerfRecord(options, def, runner.jobs(), cells.size(),
-                        samples, drain_samples, transform_samples,
+                        samples, drain_timing, transform_samples,
                         mem_blob, timing.failures);
     }
 

@@ -27,7 +27,7 @@ namespace match::bench
 /**
  * Reject an enum-ish flag value with an error that lists every valid
  * choice — "unknown X" without the menu makes the user go read the
- * source. Shared by --storage, --drain, --pin and --failure-model.
+ * source. Shared by --storage, --pin and --failure-model.
  */
 [[noreturn]] void badChoice(const char *flag, const std::string &got,
                             std::initializer_list<const char *> choices);
@@ -55,12 +55,6 @@ struct BenchOptions
     /** --storage mem|disk: checkpoint sandbox backend. Results are
      *  identical for either; disk leaves an inspectable sandbox. */
     storage::Kind storage = storage::Kind::Mem;
-    /** --drain sync|async: PFS drain execution mode. Results are
-     *  identical for either; async overlaps flush I/O with compute. */
-    storage::DrainMode drain = storage::DrainMode::Async;
-    /** --drain-depth N: flush jobs admitted but not yet drained
-     *  (burst-buffer bound); 0 = unbounded. Wall-clock only. */
-    int drainDepth = 4;
     /** --pin none|auto|cores: grid worker placement. `auto` pins
      *  workers round-robin across NUMA nodes/cores when every worker
      *  can own one (each worker's blob pool then stays node-local);
@@ -85,8 +79,8 @@ struct BenchOptions
      *  finish the healthy cells and report). */
     bool strict = false;
     /// @}
-    /** --perf: measure grid wall-clock under both backends and under
-     *  both drain modes at L4 (cache bypassed) and write
+    /** --perf: measure grid wall-clock under both backends and on an
+     *  L4 drain row (cache bypassed) and write
      *  BENCH_<name>.json into perfDir. */
     bool perf = false;
     /** --perf-dir DIR: where BENCH_<name>.json lands (default "."). */

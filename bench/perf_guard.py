@@ -5,11 +5,9 @@ Compares freshly produced BENCH_*.json records against the snapshots
 under bench/baseline/:
 
  - BENCH_fig5.json (figure-bench perf record): cells/sec per storage
-   backend row and per drain-mode row (throughput, higher is better),
+   backend row and of the L4 drain row (throughput, higher is better),
    plus the per-phase wall-clock attribution of each backend row
-   (seconds, lower is better). Drain rows flagged "undersubscribed"
-   (drain worker + grid workers oversubscribe the runner's cores, so
-   the async row measures contention, not overlap) are excluded.
+   (seconds, lower is better).
    The checkpoint-transform sweep rows (shipped PFS bytes and the
    per-stage bytesIn/bytesOut encoder counters per transform kind,
    lower is better; deltaShippedBytesReduction, higher is better) are
@@ -71,8 +69,6 @@ def figure_metrics(record):
         name = "cellsPerSecond[storage=%s]" % row.get("storage")
         metrics[name] = row.get("cellsPerSecond", 0.0)
     for row in record.get("drain", []):
-        if row.get("undersubscribed"):
-            continue
         name = "cellsPerSecond[drain=%s]" % row.get("mode")
         metrics[name] = row.get("cellsPerSecond", 0.0)
     return metrics

@@ -129,7 +129,9 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
             }
             next[v] = best;
         }
-        community.swap(next);
+        // Copy in place rather than swap: FTI protects
+        // community.data(), so that buffer must stay put all run.
+        std::copy(next.begin(), next.end(), community.begin());
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 

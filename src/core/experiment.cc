@@ -321,26 +321,19 @@ runExperiment(const ExperimentConfig &config)
             // A fresh backend per run: restarts within the run share
             // it (recovery must see the checkpoints), runs never share
             // state, and a MemBackend dies with this scope instead of
-            // leaving sandbox files behind. The drain worker is scoped
-            // the same way — it models the run's burst-buffer agent,
-            // surviving in-run process failures but never crossing
-            // runs.
+            // leaving sandbox files behind.
             drc.ftiConfig.backend = storage::makeBackend(config.storage);
             if (storage_faults) {
                 // The plan is a pure function of (cell, run) on its own
-                // RNG stream — bit-identical across --jobs counts,
-                // storage backends and drain modes. Faults off installs
-                // no decorator at all: the hot path stays untouched.
+                // RNG stream — bit-identical across --jobs counts and
+                // storage backends. Faults off installs no decorator
+                // at all: the hot path stays untouched.
                 drc.ftiConfig.backend =
                     std::make_shared<storage::FaultInjectingBackend>(
                         drc.ftiConfig.backend,
                         storageFaultPlanFor(config, run),
                         config.ioRetryLimit);
             }
-            drc.ftiConfig.drain = std::make_shared<storage::DrainWorker>(
-                config.drain,
-                static_cast<std::size_t>(std::max(config.drainDepth, 0)),
-                config.drainCapacityBytes);
             drc.ftiConfig.sdcChecks = config.sdcChecks;
             drc.ftiConfig.scrubStride = config.scrubStride;
             drc.ftiConfig.drainCapacityBytes = config.drainCapacityBytes;

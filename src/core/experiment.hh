@@ -20,7 +20,6 @@
 #include "src/apps/app.hh"
 #include "src/ft/design.hh"
 #include "src/storage/backend.hh"
-#include "src/storage/drain.hh"
 #include "src/storage/faults.hh"
 #include "src/storage/transform.hh"
 
@@ -59,9 +58,9 @@ struct ExperimentConfig
      *  (the default) leaves the backend undecorated — bit-identical to
      *  a build without the engine. Non-zero draws that many per-run
      *  fault windows from a dedicated RNG stream of cellSeed(), so
-     *  schedules are bit-identical across --jobs counts, storage
-     *  backends and drain modes. All of these axes change virtual
-     *  results and are part of configKey(). */
+     *  schedules are bit-identical across --jobs counts and storage
+     *  backends. All of these axes change virtual results and are
+     *  part of configKey(). */
     int storageFaultWindows = 0;
     /** Probability a drawn window targets the PFS path class. */
     double storageFaultPfsBias = 0.75;
@@ -85,8 +84,7 @@ struct ExperimentConfig
      *  sdcChecks; FtiConfig::scrubStride). */
     int scrubStride = 0;
     /** Virtual burst-buffer capacity for staged L4 flushes; 0 is
-     *  unbounded (FtiConfig::drainCapacityBytes). Also bounds the wall
-     *  worker's staged bytes. */
+     *  unbounded (FtiConfig::drainCapacityBytes). */
     std::size_t drainCapacityBytes = 0;
 
     /** Checkpoint data-reduction chain (FtiConfig::transform): delta
@@ -115,20 +113,6 @@ struct ExperimentConfig
      *  sandboxDir. Results are bit-identical either way (locked in by
      *  tests), so the kind is excluded from configKey(). */
     storage::Kind storage = storage::Kind::Mem;
-
-    /** Wall-clock execution mode of the PFS drain (L4 flushes, SCR
-     *  flush-to-prefix). Async (the default) overlaps the flush I/O
-     *  with the simulation on a background worker; Sync replays every
-     *  flush inline at enqueue. Results are bit-identical either way
-     *  and for any queue depth (locked in by tests) — virtual-time
-     *  drain accounting is deterministic — so, like the storage kind,
-     *  both fields are excluded from configKey(). */
-    storage::DrainMode drain = storage::DrainMode::Async;
-
-    /** Drain queue depth: flush jobs admitted but not yet executed
-     *  (bounds burst-buffer memory holding staged blobs); 0 means
-     *  unbounded. Wall-clock backpressure only. */
-    int drainDepth = 4;
 
     simmpi::CostParams costParams{};
 

@@ -253,8 +253,6 @@ GridSpec::enumerate() const
                             config.costParams = costParams;
                             config.noiseSigma = noiseSigma;
                             config.storage = storage;
-                            config.drain = drain;
-                            config.drainDepth = drainDepth;
                             config.failureModel = failureModel;
                             config.meanFailures = meanFailures;
                             config.cascadeProb = cascadeProb;

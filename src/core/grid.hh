@@ -100,14 +100,10 @@ struct GridSpec
     /** Checkpoint sandbox storage (results are identical for any
      *  kind; only wall time changes). */
     storage::Kind storage = storage::Kind::Mem;
-    /** PFS drain execution mode and queue depth (results are identical
-     *  for any combination; only wall time changes). */
-    storage::DrainMode drain = storage::DrainMode::Async;
-    int drainDepth = 4;
 
     /** Failure-scenario engine axes, copied verbatim into every cell
      *  (see ExperimentConfig). Virtual-result knobs, unlike
-     *  storage/drain/pin. */
+     *  storage/pin. */
     ft::FailureModelKind failureModel = ft::FailureModelKind::Single;
     double meanFailures = 1.0;
     double cascadeProb = 0.35;
@@ -230,8 +226,8 @@ struct GridTiming
      *  unique-cell order. */
     std::vector<double> cellSeconds;
     /** Per-phase wall-clock attribution accumulated across all worker
-     *  (and drain) threads while the grid ran: checkpoint serialize,
-     *  RS/XOR encode, drain jobs, storage backend I/O. Sim-core time is
+     *  threads while the grid ran: checkpoint serialize, RS/XOR
+     *  encode, PFS flushes, storage backend I/O. Sim-core time is
      *  derived at emission as total minus the exclusive phases. */
     util::PhaseTotals phases;
     /** Cells quarantined this run (empty on a healthy grid). Their

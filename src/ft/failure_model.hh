@@ -19,10 +19,10 @@
  *
  * Every generated schedule is a pure function of (config, seed): the
  * bit-identity contract extends to failure scenarios, so a schedule is
- * identical across --jobs counts, storage backends, drain modes and
- * kernels. Any schedule serializes to the line-oriented trace format
- * (`iteration rank kind`, see bench/FAILURE_TRACES.md) and replays to
- * identical results.
+ * identical across --jobs counts, storage backends and kernels. Any
+ * schedule serializes to the line-oriented trace format (`iteration
+ * rank kind`, see bench/FAILURE_TRACES.md) and replays to identical
+ * results.
  */
 
 #ifndef MATCH_FT_FAILURE_MODEL_HH

@@ -82,10 +82,6 @@ Fti::metaFile(const FtiConfig &config, int ckpt_id)
 void
 Fti::purge(const FtiConfig &config)
 {
-    // Let in-flight flush jobs finish before sweeping the sandbox, or
-    // a drained object could land after (and survive) the purge.
-    if (config.drain)
-        config.drain->quiesce();
     storage::resolve(config.backend).removeTree(execDir(config));
 }
 
@@ -99,11 +95,6 @@ Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
       store_(storage::resolve(config_.backend)),
       deltaTx_(config_.deltaBlockSize)
 {
-    // A config without a drain gets a private sync worker: flushes run
-    // inline at enqueue, preserving the historical "PFS files exist
-    // when checkpoint() returns" behaviour standalone users expect.
-    if (!config_.drain)
-        config_.drain = std::make_shared<storage::DrainWorker>();
     // A decorated backend attaches the storage-fault engine: the plan
     // drives pre-flight degradation queries and the retry pricing. A
     // plain backend leaves faults_ null and every fault hook compiled
@@ -159,7 +150,7 @@ Fti::serializeRegions() const
     // [u32 id][u64 bytes][raw payload] per region, in id order. The
     // snapshot lands directly in a pooled buffer: sealing it makes it
     // the very object the backend stores, the partner copy shares and
-    // the drain job captures — this one staging pass is the only
+    // the PFS flush reads — this one staging pass is the only
     // payload copy the checkpoint hot path performs.
     std::size_t total = 0;
     for (const auto &[id, region] : regions_)
@@ -342,20 +333,8 @@ Fti::removeCheckpointFiles(int id, int level)
         store_.remove(partnerFile(config_, rank, owner, id));
     if (level == 3)
         store_.remove(parityFile(config_, rank, id));
-    if (level == 4) {
-        // The flush that wrote the object may still be draining; route
-        // the removal through the same FIFO queue so it
-        // deterministically lands after the write it deletes, for any
-        // drain scheduling.
-        FtiConfig job_config = config_;
-        job_config.drain.reset();
-        drain().enqueue([job_config = std::move(job_config), rank,
-                         id]() -> std::uint64_t {
-            storage::resolve(job_config.backend)
-                .remove(pfsFile(job_config, rank, id));
-            return 0;
-        });
-    }
+    if (level == 4)
+        store_.remove(pfsFile(config_, rank, id));
     if (rank == 0)
         store_.remove(metaFile(config_, id));
 }
@@ -541,16 +520,12 @@ namespace
 {
 
 /**
- * The L4 flush body, run by the drain worker: differential
- * checkpointing against the rank's base image. The first flush writes
- * the base; later ones write only the blocks that differ from it.
- * Deliberately a free function over a refcounted blob and a config
- * copy — it runs on the drain thread, possibly after the enqueuing Fti
- * incarnation died, so it must touch no Fti state.
+ * The L4 flush body: differential checkpointing against the rank's
+ * base image. The first flush writes the base; later ones write only
+ * the blocks that differ from it.
  *
  * @return bytes actually shipped to the PFS (differential writes less);
- *         a pure function of the flushes drained before this one, so
- *         the virtual drain accounting is schedule-independent.
+ *         a pure function of the flushes drained before this one.
  */
 std::uint64_t
 pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
@@ -560,8 +535,8 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
     // Per-object retry: transient fault windows strike each PFS path
     // independently, so spending the budget per operation (not per
     // job) is what lets a rideable window actually be ridden out when
-    // the job writes several objects. Wall-clock only — the enqueuing
-    // rank priced the transient strikes at checkpoint entry.
+    // the job writes several objects. Unpriced — the flushing rank
+    // priced the transient strikes at checkpoint entry.
     const auto retried = [retry_limit](auto &&op) {
         return storage::withIoRetry(
             retry_limit, std::forward<decltype(op)>(op), [](int) {});
@@ -639,25 +614,19 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
 void
 Fti::enqueuePfsFlush(int ckpt_id, storage::Blob blob)
 {
-    // The job owns a config copy (keeping the backend alive) and a
-    // refcounted handle to the staged blob — the burst buffer holds a
-    // reference, never a deep copy. Clearing the drain handle in the
-    // copy avoids the worker's queue holding a reference to the worker
-    // itself.
-    FtiConfig job_config = config_;
-    job_config.drain.reset();
+    // The flush reads a refcounted handle to the staged blob — the
+    // burst buffer holds a reference, never a deep copy.
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::size_t wall_bytes = blob.size();
     const auto virt_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(wall_bytes) * config_.virtualFactor);
+        static_cast<double>(blob.size()) * config_.virtualFactor);
     if (config_.drainCapacityBytes > 0) {
         // Burst-buffer capacity pressure, in virtual time: when the
         // staged-but-undrained flushes plus this one would exceed the
         // buffer, the rank stalls until enough earlier flushes finish
-        // streaming — capacity turns the "free" async drain back into
-        // foreground checkpoint time (we run under CkptWrite here).
+        // streaming — capacity turns the "free" overlapped drain back
+        // into foreground checkpoint time (we run under CkptWrite here).
         const double stall = drainChannel_.reserve(
-            drain(), proc_.now(), virt_bytes, config_.drainCapacityBytes,
+            proc_.now(), virt_bytes, config_.drainCapacityBytes,
             [this](std::uint64_t shipped, std::uint64_t in_bytes,
                    int procs, double factor) {
                 return priceDrainJob(shipped, in_bytes, procs, factor);
@@ -665,28 +634,25 @@ Fti::enqueuePfsFlush(int ckpt_id, storage::Blob blob)
         if (stall > 0.0)
             proc_.sleepFor(stall);
     }
-    const auto ticket = drain().enqueue(
-        [job_config = std::move(job_config), rank, ckpt_id,
-         blob = std::move(blob),
-         faults = faults_]() -> std::uint64_t {
-            // Bind the epoch the flush was enqueued at (and the
-            // flushing rank as the actor): injection then does not
-            // depend on when the drain runs the job (sync, async, N
-            // threads — all see the same windows and strike budgets).
-            storage::FaultEpochScope scope(faults, ckpt_id, rank);
-            const int limit = faults ? faults->retryLimit()
-                                     : storage::kDefaultIoRetryLimit;
+    drainChannel_.flush(
+        [&]() -> std::uint64_t {
+            // Bind the checkpoint's epoch (and the flushing rank as
+            // the actor): the flush sees that checkpoint's windows and
+            // strike budgets.
+            storage::FaultEpochScope scope(faults_, ckpt_id, rank);
+            const int limit = faults_ ? faults_->retryLimit()
+                                      : storage::kDefaultIoRetryLimit;
             for (int attempt = 0;; ++attempt) {
                 try {
-                    return pfsFlushJob(job_config, rank, ckpt_id, blob,
+                    return pfsFlushJob(config_, rank, ckpt_id, blob,
                                        limit);
                 } catch (const storage::StorageError &) {
-                    // Drain-thread retries are wall-clock only: the
-                    // enqueuing rank already priced the plan's
-                    // transient strikes at checkpoint entry. A
-                    // permanently failed flush ships nothing — the
-                    // object stays lost/torn and recovery's ladder
-                    // (never a silent wrong restore) deals with it.
+                    // Flush retries are unpriced: the rank already
+                    // priced the plan's transient strikes at
+                    // checkpoint entry. A permanently failed flush
+                    // ships nothing — the object stays lost/torn and
+                    // recovery's ladder (never a silent wrong restore)
+                    // deals with it.
                     if (attempt >= limit) {
                         storage::noteFailedFlush();
                         return 0;
@@ -694,11 +660,10 @@ Fti::enqueuePfsFlush(int ckpt_id, storage::Blob blob)
                 }
             }
         },
-        wall_bytes);
+        proc_.runtime().commSize(comm_), ckptFactor(), virt_bytes,
+        virt_bytes);
     // The virtual enqueue instant is stamped later, once checkpoint()
     // has charged the staging cost.
-    drainChannel_.admit(ticket, proc_.runtime().commSize(comm_),
-                        ckptFactor(), virt_bytes, virt_bytes);
 }
 
 double
@@ -724,7 +689,7 @@ void
 Fti::drainBarrier()
 {
     const double wait = drainChannel_.resolve(
-        drain(), proc_.now(),
+        proc_.now(),
         [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
                double factor) {
             return priceDrainJob(shipped, in_bytes, procs, factor);
@@ -808,10 +773,10 @@ Fti::checkpoint(int ckpt_id, int level)
             level = 2;
         }
         if (level == 4) {
-            // Transient PFS strikes are ridden out on the drain
-            // thread, where wall-clock retries cannot price virtual
-            // time: charge the re-staging backoff here. (Local-tier
-            // writes price their actual attempts inside ioRetry.)
+            // Transient PFS strikes are ridden out by the flush,
+            // whose retries are unpriced: charge the re-staging
+            // backoff here. (Local-tier writes price their actual
+            // attempts inside ioRetry.)
             const int strikes = plan.transientWriteStrikes(
                 ckpt_id, storage::PathClass::Pfs, limit);
             if (strikes > 0) {
@@ -886,12 +851,9 @@ Fti::checkpoint(int ckpt_id, int level)
     // Data path: every level keeps a local copy except L4, which is
     // staged to the drain and streamed to the parallel file system in
     // the background. Differential L4 checkpoints are priced (on the
-    // drain channel) by the bytes actually shipped. The wall-clock
-    // enqueue happens here, before the consistency protocol, so an
-    // async worker overlaps the diff + PFS writes with the collectives
-    // and the following compute phase. Every consumer — local store,
-    // partner store, drain job — shares the one sealed snapshot by
-    // refcount; no path deep-copies the payload.
+    // drain channel) by the bytes actually shipped. Every consumer —
+    // local store, partner store, PFS flush — shares the one sealed
+    // snapshot by refcount; no path deep-copies the payload.
     if (level <= 3)
         writeLocal(ckpt_id, blob);
     if (level == 2)
@@ -1278,8 +1240,7 @@ Fti::recover()
         if (!loadMeta(id, meta))
             continue; // same per-actor outcome on every rank
         // An L4 restore reads objects the drain may still be
-        // streaming: wait out the channel (virtually and in
-        // wall-clock) first.
+        // streaming: wait out the channel first.
         if (meta.level == 4)
             drainBarrier();
         storage::Blob blob;
@@ -1485,53 +1446,39 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         }
         return;
     }
-    // L4: the object may still be draining. Route the bit-flips through
-    // the same FIFO so they deterministically land after the flush that
-    // wrote the object, for any drain scheduling.
-    FtiConfig job_config = config;
-    job_config.drain.reset();
-    const auto job = [job_config = std::move(job_config), rank,
-                      newest]() -> std::uint64_t {
-        storage::Backend &st = storage::resolve(job_config.backend);
-        const std::string dir = execDir(job_config) + "/pfs/diff/rank" +
-                                std::to_string(rank);
-        std::vector<std::uint8_t> bytes;
-        try {
-            // Whole-file PFS copy (present when this checkpoint is the
-            // differential base).
-            const std::string whole = pfsFile(job_config, rank, newest);
-            if (st.read(whole, bytes) && !bytes.empty()) {
-                bytes[bytes.size() / 2] ^= 0x5a;
-                st.writeAtomic(whole, bytes.data(), bytes.size());
-            }
-            // Base image.
-            const std::string base = dir + "/base.fti";
-            if (st.read(base, bytes) && !bytes.empty()) {
-                bytes[bytes.size() / 2] ^= 0x5a;
-                st.writeAtomic(base, bytes.data(), bytes.size());
-            }
-            // Delta: flip a byte inside the first record's payload
-            // (never the framing, which recovery parses before
-            // verifying), so the corruption survives into the restored
-            // image even when the delta overwrites the flipped base
-            // block.
-            const std::string delta =
-                dir + "/delta" + std::to_string(newest) + ".fti";
-            if (st.read(delta, bytes) &&
-                bytes.size() > 3 * sizeof(std::uint64_t)) {
-                bytes[3 * sizeof(std::uint64_t)] ^= 0x5a;
-                st.writeAtomic(delta, bytes.data(), bytes.size());
-            }
-        } catch (const storage::StorageError &) {
-            // Best-effort (see the L1-3 path): an open fault window
-            // foils the injection, never the drain worker.
+    // L4: corrupt the flushed PFS objects.
+    const std::string dir =
+        execDir(config) + "/pfs/diff/rank" + std::to_string(rank);
+    std::vector<std::uint8_t> bytes;
+    try {
+        // Whole-file PFS copy (present when this checkpoint is the
+        // differential base).
+        const std::string whole = pfsFile(config, rank, newest);
+        if (store.read(whole, bytes) && !bytes.empty()) {
+            bytes[bytes.size() / 2] ^= 0x5a;
+            store.writeAtomic(whole, bytes.data(), bytes.size());
         }
-        return 0;
-    };
-    if (config.drain)
-        config.drain->enqueue(job);
-    else
-        job();
+        // Base image.
+        const std::string base = dir + "/base.fti";
+        if (store.read(base, bytes) && !bytes.empty()) {
+            bytes[bytes.size() / 2] ^= 0x5a;
+            store.writeAtomic(base, bytes.data(), bytes.size());
+        }
+        // Delta: flip a byte inside the first record's payload (never
+        // the framing, which recovery parses before verifying), so the
+        // corruption survives into the restored image even when the
+        // delta overwrites the flipped base block.
+        const std::string delta =
+            dir + "/delta" + std::to_string(newest) + ".fti";
+        if (store.read(delta, bytes) &&
+            bytes.size() > 3 * sizeof(std::uint64_t)) {
+            bytes[3 * sizeof(std::uint64_t)] ^= 0x5a;
+            store.writeAtomic(delta, bytes.data(), bytes.size());
+        }
+    } catch (const storage::StorageError &) {
+        // Best-effort (see the L1-3 path): an open fault window foils
+        // the injection, never the simulation driver.
+    }
 }
 
 void

@@ -22,10 +22,9 @@
  *  - L4: flush to the parallel file system, with differential
  *        checkpointing (only changed blocks are written after the base).
  *        The flush is *drained*: the rank stages the blob into the
- *        burst buffer (config.drain) and resumes compute; the PFS
- *        streaming overlaps on a per-rank virtual drain channel and is
- *        only waited for at a quiesce point (recovery, finalize).
- *        Results are bit-identical for any drain scheduling.
+ *        burst buffer and resumes compute; the PFS streaming overlaps
+ *        on a per-rank virtual drain channel and is only waited for at
+ *        a quiesce point (recovery, finalize).
  *
  * Checkpoints are real objects under a sandbox directory in the
  * configured storage backend (MemBackend for simulation runs,
@@ -44,6 +43,7 @@
 
 #include "src/fti/config.hh"
 #include "src/simmpi/proc.hh"
+#include "src/storage/drain.hh"
 #include "src/storage/faults.hh"
 
 namespace match::fti
@@ -125,16 +125,16 @@ class Fti
      */
     void scrub();
 
-    /** FTI_Finalize: waits (in virtual and wall-clock time) for this
-     *  rank's pending PFS drains — a job cannot release its nodes while
-     *  its burst buffer still holds undrained checkpoints. */
+    /** FTI_Finalize: waits (in virtual time) for this rank's pending
+     *  PFS drains — a job cannot release its nodes while its burst
+     *  buffer still holds undrained checkpoints. */
     void finalize();
 
     /** Re-bind to a repaired world communicator (paper Fig. 3 note:
      *  "FTI must use the repaired world communicator"). */
     void setComm(simmpi::CommId comm) { comm_ = comm; }
 
-    /** This instance's effective configuration (drain/backend bound). */
+    /** This instance's effective configuration (backend bound). */
     const FtiConfig &config() const { return config_; }
 
     /** Total bytes currently protected on this rank. */
@@ -186,9 +186,8 @@ class Fti
      * object of the newest committed checkpoint, at rest, without
      * touching the metadata — the modelled bit-flip in burst-buffer or
      * node-local storage. L1-L3 corrupt the local checkpoint file; L4
-     * routes the flip through the drain FIFO so it deterministically
-     * lands after the flush that wrote the object (base, delta payload
-     * and whole-file PFS copies are all hit). A no-op when nothing is
+     * corrupts the flushed PFS objects (base, delta payload and
+     * whole-file PFS copies are all hit). A no-op when nothing is
      * committed. Static: callable from outside any rank context (the
      * failure-scenario corrupt hook runs on the simulation driver).
      */
@@ -216,13 +215,13 @@ class Fti
     void writeLocal(int ckpt_id, const storage::Blob &blob);
     void writePartnerCopy(int ckpt_id, const storage::Blob &blob);
     void encodeGroupParity(int ckpt_id, const MetaInfo &meta);
-    /** Stage the blob (a refcount, not a copy) and admit its PFS flush
-     *  job to the drain. */
+    /** Stage the blob (a refcount, not a copy), run its PFS flush and
+     *  admit the flush to the virtual drain channel. */
     void enqueuePfsFlush(int ckpt_id, storage::Blob blob);
     /**
-     * Quiesce point: wall-block until the drain ran every admitted job,
-     * resolve this rank's pending flushes into the virtual drain
-     * channel, and sleep until the channel's virtual completion.
+     * Quiesce point: resolve this rank's pending flushes into the
+     * virtual drain channel and sleep until the channel's virtual
+     * completion.
      */
     void drainBarrier();
     /** Virtual cost of one drained flush: streaming the shipped bytes
@@ -231,7 +230,6 @@ class Fti
     double priceDrainJob(std::uint64_t shipped,
                          std::uint64_t inVirtBytes, int procs,
                          double factor) const;
-    storage::DrainWorker &drain() { return *config_.drain; }
     void commitMeta(const MetaInfo &meta);
     /** Decode a record commitMeta wrote for `ckpt_id`; false (the
      *  metadata reads as missing) on any size, magic, id, level or
@@ -279,7 +277,7 @@ class Fti
      * retry budget on StorageError, pricing each backoff in virtual
      * time on this rank. Deterministic: the decorator's strike counters
      * make the attempt count a pure function of the plan, so the priced
-     * time is --jobs/backend/drain independent. The last failure
+     * time is --jobs/backend independent. The last failure
      * rethrows.
      */
     template <typename Op>

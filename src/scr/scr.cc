@@ -86,10 +86,6 @@ Scr::flushedMarkerFile(const ScrConfig &config, int dataset, int rank)
 void
 Scr::purge(const ScrConfig &config)
 {
-    // Let in-flight flush jobs finish before sweeping, or a drained
-    // object could land after (and survive) the purge.
-    if (config.drain)
-        config.drain->quiesce();
     storage::Backend &store = storage::resolve(config.backend);
     store.removeTree(jobDir(config));
     store.removeTree(config.prefixDir + "/" + config.jobId);
@@ -99,8 +95,6 @@ Scr::Scr(simmpi::Proc &proc, ScrConfig config)
     : proc_(proc), config_(std::move(config)),
       store_(storage::resolve(config_.backend))
 {
-    if (!config_.drain)
-        config_.drain = std::make_shared<storage::DrainWorker>();
     // A decorated backend attaches the storage-fault engine. SCR's
     // prefix directory carries no "/pfs/" segment, so register it as a
     // PFS root — flushes and fetches against it then see PFS-class
@@ -108,10 +102,6 @@ Scr::Scr(simmpi::Proc &proc, ScrConfig config)
     faults_ = dynamic_cast<storage::FaultInjectingBackend *>(&store_);
     if (faults_)
         faults_->addPfsPrefix(config_.prefixDir);
-    // Restart detection reads flushed markers the drain writes: wait
-    // out in-flight jobs so the decision depends only on what was
-    // admitted (deterministic), never on the worker's wall schedule.
-    drain().quiesce();
     store_.createDirectories(jobDir(config_));
     lastCommitted_ = newestCommittedDataset();
     restartDataset_ = lastCommitted_;
@@ -205,9 +195,9 @@ Scr::newestCommittedDataset(int below) const
             newest = id;
     }
     // A dataset whose cache was lost is still restartable from its
-    // flushed prefix copy — but only when every rank's flush drained
-    // (a crash mid-drain leaves the dataset unfetchable, falling back
-    // to the newest fully flushed one).
+    // flushed prefix copy — but only when every rank's flush landed
+    // (a failed flush leaves the dataset unfetchable, falling back to
+    // the newest fully flushed one).
     for (const std::string &name :
          store_.listDir(config_.prefixDir + "/" + config_.jobId)) {
         if (name.rfind("dataset", 0) != 0)
@@ -346,16 +336,13 @@ namespace
 {
 
 /**
- * The flush body, run by the drain worker: copy the rank's routed
- * files from the cache to the prefix directory, then commit the rank's
- * flushed marker. A free function over owned copies — it runs on the
- * drain thread, possibly after the enqueuing incarnation died.
+ * The flush body: copy the rank's routed files from the cache to the
+ * prefix directory, then commit the rank's flushed marker.
  *
- * A missing source file fails the flush *softly*: the cache was lost
- * while the flush waited in the queue. No marker is written, so the
- * dataset never becomes fetchable and restart falls back to the newest
- * fully drained one — the async drain loses exactly the undrained
- * datasets, it never aborts the survivors.
+ * A missing source file fails the flush *softly*: the cache copy was
+ * lost. No marker is written, so the dataset never becomes fetchable
+ * and restart falls back to the newest fully flushed one — a lost
+ * flush never aborts the survivors.
  *
  * @return bytes shipped to the PFS (0 when the flush failed).
  */
@@ -367,9 +354,9 @@ scrFlushJob(const ScrConfig &config, int dataset, int rank,
     // Transient fault windows strike each path independently, so the
     // retry budget must be spent per object: re-running the whole job
     // would burn attempts on paths that already landed and turn a
-    // rideable window into a spurious permanent failure. Drain-thread
-    // retries are wall-clock only — the enqueuing rank already priced
-    // the window's transient strikes in virtual time.
+    // rideable window into a spurious permanent failure. Flush
+    // retries are unpriced — the flushing rank already priced the
+    // window's transient strikes in virtual time.
     const auto retried = [retry_limit](auto &&op) {
         return storage::withIoRetry(
             retry_limit, std::forward<decltype(op)>(op), [](int) {});
@@ -422,8 +409,6 @@ scrFlushJob(const ScrConfig &config, int dataset, int rank,
 void
 Scr::enqueueFlush(int dataset, std::size_t bytes)
 {
-    ScrConfig job_config = config_;
-    job_config.drain.reset(); // the queue must not own its worker
     std::vector<std::string> files = routedFiles_;
     if (config_.sdcChecks) {
         // Flush the integrity sidecars with their files, so a prefix
@@ -431,19 +416,19 @@ Scr::enqueueFlush(int dataset, std::size_t bytes)
         for (const std::string &name : routedFiles_)
             files.push_back(name + ".crc32c");
     }
-    const auto ticket = drain().enqueue(
-        [job_config = std::move(job_config), dataset, r = rank(),
-         files = std::move(files),
-         faults = faults_]() -> std::uint64_t {
-            // Bind the enqueue-time epoch (and the flushing rank as
-            // the actor) so injection is identical for any drain
-            // scheduling (sync, async, N threads).
-            storage::FaultEpochScope scope(faults, dataset, r);
-            const int limit = faults ? faults->retryLimit()
-                                     : storage::kDefaultIoRetryLimit;
+    // No occupancy bytes: SCR has no burst-buffer capacity bound, so
+    // the channel must not accumulate occupants it never evicts.
+    drainChannel_.flush(
+        [&]() -> std::uint64_t {
+            // Bind the dataset's epoch (and the flushing rank as the
+            // actor): the flush sees that dataset's windows and strike
+            // budgets.
+            storage::FaultEpochScope scope(faults_, dataset, rank());
+            const int limit = faults_ ? faults_->retryLimit()
+                                      : storage::kDefaultIoRetryLimit;
             for (int attempt = 0;; ++attempt) {
                 try {
-                    return scrFlushJob(job_config, dataset, r, files,
+                    return scrFlushJob(config_, dataset, rank(), files,
                                        limit);
                 } catch (const storage::StorageError &) {
                     // A permanently failed flush writes no flushed
@@ -456,10 +441,8 @@ Scr::enqueueFlush(int dataset, std::size_t bytes)
                     }
                 }
             }
-        });
-    // No occupancy bytes: SCR has no burst-buffer capacity bound, so
-    // the channel must not accumulate occupants it never evicts.
-    drainChannel_.admit(ticket, size(), 1.0, 0, bytes);
+        },
+        size(), 1.0, 0, bytes);
     // Staging the dataset into the burst buffer serializes the rank;
     // the PFS streaming overlaps on the virtual drain channel.
     proc_.sleepFor(proc_.runtime().costModel().drainStage(bytes, size()));
@@ -470,7 +453,7 @@ void
 Scr::drainBarrier()
 {
     const double wait = drainChannel_.resolve(
-        drain(), proc_.now(),
+        proc_.now(),
         [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
                double factor) {
             double cost = proc_.runtime().costModel().drainFlush(
@@ -642,9 +625,9 @@ Scr::completeCheckpoint(bool valid)
                     util::warn("SCR dataset %d: PFS write-exhausted, "
                                "skipping prefix flush", lastCommitted_);
             } else {
-                // Transient PFS strikes ride out on the drain thread
-                // (wall-clock): price the re-staging backoff here, on
-                // the rank that admitted the flush.
+                // Transient PFS strikes ride out in the flush, whose
+                // retries are unpriced: price the re-staging backoff
+                // here, on the rank that admitted the flush.
                 const int strikes = plan.transientWriteStrikes(
                     lastCommitted_, storage::PathClass::Pfs, limit);
                 if (strikes > 0) {
@@ -663,23 +646,13 @@ Scr::completeCheckpoint(bool valid)
             enqueueFlush(lastCommitted_, bytes);
     }
 
-    // Drop the previous dataset (SCR keeps a bounded cache). Routed
-    // through the drain queue: a pending flush of that dataset must
-    // copy its files out before the prune deletes them, for any drain
-    // scheduling.
+    // Drop the previous dataset (SCR keeps a bounded cache); its
+    // flush, if any, already copied the files out.
     if (all_valid && lastCommitted_ >= 2) {
-        ScrConfig job_config = config_;
-        job_config.drain.reset();
-        drain().enqueue([job_config = std::move(job_config),
-                         prev = lastCommitted_ - 1,
-                         r = rank()]() -> std::uint64_t {
-            storage::Backend &store =
-                storage::resolve(job_config.backend);
-            store.removeTree(Scr::datasetDir(job_config, prev, r));
-            if (r == 0)
-                store.remove(Scr::markerFile(job_config, prev));
-            return 0;
-        });
+        const int prev = lastCommitted_ - 1;
+        store_.removeTree(datasetDir(config_, prev, rank()));
+        if (rank() == 0)
+            store_.remove(markerFile(config_, prev));
     }
     writingDataset_ = 0;
     routedFiles_.clear();
@@ -755,8 +728,7 @@ bool
 Scr::tryFetchFromPrefix(const std::string &name)
 {
     // SCR_Fetch: pull the flushed copy back into the cache. The flush
-    // may still be draining — wait it out (virtually and in wall-clock)
-    // before looking.
+    // may still be draining — wait it out before looking.
     drainBarrier();
     const std::string src =
         prefixDatasetDir(config_, restartDataset_, rank()) + "/" + name;

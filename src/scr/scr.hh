@@ -72,9 +72,9 @@ struct ScrConfig
     /** SCR_Need_checkpoint: checkpoint every N loop iterations. */
     int checkpointInterval = 10;
     /** Flush every Nth checkpoint to the prefix directory (0 = never).
-     *  Like the real library, the flush is asynchronous: it is admitted
-     *  to the drain worker and overlaps compute; restarts that need the
-     *  prefix copy quiesce the drain first. */
+     *  Like the real library, the flush is asynchronous: it streams on
+     *  the virtual drain channel and overlaps compute; restarts that
+     *  need the prefix copy wait out the channel first. */
     int flushEvery = 0;
 
     /** Silent-data-corruption hardening. Off (the default) reproduces
@@ -105,13 +105,6 @@ struct ScrConfig
      *  MemBackend they must write through the same backend for the
      *  redundancy encoder to see their data. */
     std::shared_ptr<storage::Backend> backend;
-
-    /** Drain worker executing flush-to-prefix jobs. Shared by every
-     *  SCR incarnation of one run. Null makes the instance create a
-     *  private sync worker (flushes complete inline at enqueue).
-     *  Simulated results are bit-identical for any worker mode or
-     *  queue depth; only wall-clock changes. */
-    std::shared_ptr<storage::DrainWorker> drain;
 };
 
 /** Per-rank SCR instance. */
@@ -191,9 +184,9 @@ class Scr
     static std::string prefixDatasetDir(const ScrConfig &config,
                                         int dataset, int rank);
     /** Marker committed on the PFS once `rank`'s part of a dataset's
-     *  flush has drained. A dataset is fetchable on restart only when
-     *  every rank's marker exists — a crash mid-drain must not present
-     *  a half-flushed dataset as restartable. */
+     *  flush has landed. A dataset is fetchable on restart only when
+     *  every rank's marker exists — a failed flush must not present a
+     *  half-flushed dataset as restartable. */
     static std::string flushedMarkerFile(const ScrConfig &config,
                                          int dataset, int rank);
     /// @}
@@ -219,7 +212,6 @@ class Scr
     bool verifyRestartFile(const std::string &path);
     void enqueueFlush(int dataset, std::size_t bytes);
     void drainBarrier();
-    storage::DrainWorker &drain() { return *config_.drain; }
     int rank() const;
     int size() const;
     /** IoRetryPolicy (see fti::Fti::ioRetry): bounded retries on

@@ -31,8 +31,8 @@
  * the zero-copy claim measurable: on the MemBackend checkpoint hot
  * path, bytesCopied stays ~0 while bytesStored counts the payload.
  *
- * Thread-safety: BlobPool is safe to share across threads (buffers are
- * routinely released on a drain thread that did not acquire them);
+ * Thread-safety: BlobPool is safe to share across threads (a buffer
+ * may be released on a thread that did not acquire it);
  * Blob handles are as thread-safe as shared_ptr. A MutableBlob must be
  * confined to one thread until sealed.
  */

@@ -12,8 +12,8 @@
  *  - StorageFaultPlan: a set of FaultWindows — per-tier outage
  *    intervals over the checkpoint-epoch axis — generated as a pure
  *    function of (config, seed) by generatePlan(), so a plan is
- *    bit-identical across --jobs counts, storage backends, drain modes
- *    and kernels, and serializable to a replayable trace (see
+ *    bit-identical across --jobs counts, storage backends and kernels,
+ *    and serializable to a replayable trace (see
  *    bench/FAULTS.md).
  *  - FaultInjectingBackend: a decorator over any Backend that turns
  *    the plan's windows into real injected failures: reads/writes
@@ -294,10 +294,8 @@ void noteFailedFlush();
  * actor's (epoch, actor id) around each injected operation with a
  * FaultEpochScope — per-rank state, never shared, so ranks sitting on
  * different recovery rungs cannot flap each other's effective epoch.
- * Drain-thread flush jobs bind the epoch their checkpoint was
- * enqueued at the same way, so an async flush sees the same windows
- * whether it runs immediately (sync drain) or seconds later —
- * injection is drain-mode independent. setEpoch() publishes a
+ * PFS flushes bind their checkpoint's epoch the same way, with the
+ * flushing rank as the actor. setEpoch() publishes a
  * fallback epoch for unscoped accesses (tests, the simulation
  * driver's corruption injector).
  *
@@ -406,11 +404,9 @@ class FaultInjectingBackend final : public Backend
  * Thread-local (epoch, actor) binding for injected I/O. Checkpoint
  * clients install one around each backend operation with the calling
  * rank's own epoch and identity (Fti/Scr do this inside their retry
- * wrappers); drain-thread jobs install one for the job's duration with
- * the epoch the flush was enqueued at, so injection decisions are
- * identical whether the job runs inline (sync drain) or later on a
- * worker. `actor` keys the strike counters: pass the simulated
- * global rank (or the flushing rank for drain jobs); -1 leaves the
+ * wrappers); a PFS flush installs one for its duration with its
+ * checkpoint's epoch. `actor` keys the strike counters: pass the
+ * simulated global rank (or the flushing rank for a flush); -1 leaves the
  * access on the shared unbound bucket (tests, driver-side injection).
  * A null backend makes the scope a no-op (faults off).
  *

@@ -100,7 +100,7 @@ enum class TransformStage
 };
 
 /** Process-wide counters of one stage: every encode/decode in the
- *  process, across threads (drain workers included). Benches
+ *  process, across threads. Benches
  *  snapshot-and-diff this around a measured region. */
 TransformStats transformGlobalStats(TransformStage stage);
 

@@ -15,8 +15,8 @@
  * without double counting, and "sim core" falls out at report time as
  * total minus the measured phases.
  *
- * Counters are process-wide relaxed atomics, not thread-locals: async
- * drain jobs run on their own worker threads and must fold into the
+ * Counters are process-wide relaxed atomics, not thread-locals: the
+ * grid's worker threads run cells concurrently and must fold into the
  * same totals the grid run is diffed over. The per-thread scope stack
  * is thread_local, so nesting is tracked correctly per thread while
  * the accumulation stays global. Overhead per scope is two

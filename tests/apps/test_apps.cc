@@ -18,6 +18,7 @@
 #include "src/apps/lulesh.hh"
 #include "src/apps/minife.hh"
 #include "src/apps/minivite.hh"
+#include "src/core/experiment.hh"
 #include "src/ft/design.hh"
 
 namespace fs = std::filesystem;
@@ -221,6 +222,40 @@ TEST(AppNumerics, MiniviteModularityImproves)
     for (double m : finals) {
         EXPECT_GT(m, 0.5);
         EXPECT_LE(m, 1.0);
+    }
+}
+
+TEST(AppCheckpoint, MiniviteDeltaCellRepeatsWithinOneProcess)
+{
+    // A differential checkpoint stores only the blocks that changed, so
+    // its size, and the cell's priced write time, follow the protected
+    // bytes exactly. miniVite must keep its protected community array
+    // at one address across passes: a checkpoint that reads a freed
+    // buffer picks up allocator state, which another cell run in the
+    // same process perturbs.
+    core::ExperimentConfig config;
+    config.app = "miniVite";
+    config.input = InputSize::Small;
+    config.nprocs = 8;
+    config.design = Design::ReinitFti;
+    config.ckptLevel = 1;
+    config.ckptStride = 1;
+    config.transform = storage::TransformKind::DeltaCompress;
+    config.runs = 2;
+    config.sandboxDir =
+        (fs::temp_directory_path() / "match-app-tests").string();
+    const auto first = core::runExperiment(config);
+    auto other = config;
+    other.app = "HPCCG";
+    other.ckptLevel = 4;
+    core::runExperiment(other);
+    const auto second = core::runExperiment(config);
+    ASSERT_EQ(first.perRun.size(), second.perRun.size());
+    for (std::size_t i = 0; i < first.perRun.size(); ++i) {
+        EXPECT_EQ(first.perRun[i].ckptWrite, second.perRun[i].ckptWrite)
+            << "run " << i;
+        EXPECT_EQ(first.perRun[i].total(), second.perRun[i].total())
+            << "run " << i;
     }
 }
 

@@ -35,6 +35,27 @@ smallConfig(Design design, bool inject)
     return config;
 }
 
+/** An L4 cell whose flushes outlive the checkpoint interval: HPCCG,
+ *  a checkpoint every other iteration, a PFS 100x slower than the
+ *  default. */
+void
+slowPfs(ExperimentConfig &config)
+{
+    config.app = "HPCCG";
+    config.ckptStride = 2;
+    config.costParams.ckptL4AggregateBw /= 100.0;
+}
+
+/** slowPfs with delta+compress flushes into a burst buffer small
+ *  enough that staging stalls. */
+void
+slowPfsCompressedAndCapped(ExperimentConfig &config)
+{
+    slowPfs(config);
+    config.transform = storage::TransformKind::DeltaCompress;
+    config.drainCapacityBytes = std::size_t{1} << 18;
+}
+
 } // namespace
 
 TEST(Experiment, DeterministicForSameConfig)
@@ -194,40 +215,23 @@ TEST(Experiment, L3CellsAgreeAcrossBackends)
     expectIdenticalResults(mem, disk);
 }
 
-TEST(Experiment, DrainModesAndDepthsProduceIdenticalResults)
-{
-    // The PFS drain is a wall-clock execution strategy: a grid cell
-    // whose checkpoints carry L4 flush traffic must produce
-    // bit-identical results whether the drain replays flushes inline
-    // (sync) or overlaps them on a background worker (async), at any
-    // queue depth. Injected failures exercise restart-while-draining
-    // and the L4 recovery barrier as well.
-    for (const bool inject : {false, true}) {
-        auto config = smallConfig(Design::ReinitFti, inject);
-        config.ckptLevel = 4;
-        config.drain = match::storage::DrainMode::Sync;
-        const auto sync = runExperiment(config);
-        config.drain = match::storage::DrainMode::Async;
-        for (const int depth : {1, 4, 0 /* unbounded */}) {
-            config.drainDepth = depth;
-            const auto async = runExperiment(config);
-            expectIdenticalResults(sync, async);
-        }
-    }
-}
-
 TEST(Experiment, DrainedL4CellsAgreeAcrossBackends)
 {
-    // The drain jobs run backend I/O off-thread; the storage kind must
-    // still be invisible in the results.
-    auto config = smallConfig(Design::RestartFti, true);
-    config.ckptLevel = 4;
-    config.drain = match::storage::DrainMode::Async;
-    config.storage = match::storage::Kind::Mem;
-    const auto mem = runExperiment(config);
-    config.storage = match::storage::Kind::Disk;
-    const auto disk = runExperiment(config);
-    expectIdenticalResults(mem, disk);
+    // Cells whose checkpoints carry L4 flush traffic must produce
+    // bit-identical results whether the sandbox lives in memory or on
+    // disk. Injected failures exercise restart after a flush and the
+    // L4 recovery drain barrier as well.
+    for (const Design design : {Design::ReinitFti, Design::RestartFti}) {
+        for (const bool inject : {false, true}) {
+            auto config = smallConfig(design, inject);
+            config.ckptLevel = 4;
+            config.storage = match::storage::Kind::Mem;
+            const auto mem = runExperiment(config);
+            config.storage = match::storage::Kind::Disk;
+            const auto disk = runExperiment(config);
+            expectIdenticalResults(mem, disk);
+        }
+    }
 }
 
 TEST(Experiment, AsyncDrainOverlapsFlushTimeInVirtualTime)
@@ -265,6 +269,12 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
     // doubles means a simulation-visible behavior change leaked in.
     // The tuples cover all three designs, an RS-encoded L3 cell, a
     // drained L4 cell, and both the injected and failure-free paths.
+    // The last two, recorded while a wall-clock drain thread still
+    // existed, pin the drain channel's pricing on HPCCG, whose
+    // checkpoint bytes are a pure function of the config: an L4
+    // recovery behind a slow PFS (the recovery drain barrier), and
+    // delta+compress flushes against a burst buffer small enough to
+    // stall (reserve() and the compress pricing).
     struct Golden
     {
         Design design;
@@ -273,6 +283,7 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
         double app, ckptW, ckptR, rec;
         int recoveries;
         bool fired;
+        void (*tweak)(ExperimentConfig &) = nullptr;
     };
     const Golden fixtures[] = {
         {Design::ReinitFti, 1, true, 0.39149574690426153,
@@ -284,14 +295,24 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
          0.6974270126201727, 2, true},
         {Design::ReinitFti, 4, false, 0.26857265373982575,
          0.060751006691229847, 0.0, 0.0, 0, false},
+        {Design::ReinitFti, 4, true, 6.4394412683223567,
+         23.378799988578063, 0.67389496000000004, 0.46335765883080848, 2,
+         true, slowPfs},
+        {Design::ReinitFti, 4, true, 6.4409482697721625,
+         37.256205349308246, 4.6574918727500005, 0.46335062046682218, 2,
+         true, slowPfsCompressedAndCapped},
     };
     for (const Golden &g : fixtures) {
         auto config = smallConfig(g.design, g.inject);
         config.runs = 2; // the fixture was recorded with two runs
         config.ckptLevel = g.level;
+        if (g.tweak)
+            g.tweak(config);
         const auto r = runExperiment(config);
-        const std::string label = std::string(ft::designName(g.design)) +
-                                  " L" + std::to_string(g.level);
+        const std::string label =
+            std::string(ft::designName(g.design)) + " L" +
+            std::to_string(g.level) + " #" +
+            std::to_string(&g - fixtures);
         EXPECT_DOUBLE_EQ(r.mean.application, g.app) << label;
         EXPECT_DOUBLE_EQ(r.mean.ckptWrite, g.ckptW) << label;
         EXPECT_DOUBLE_EQ(r.mean.ckptRead, g.ckptR) << label;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Storage-fault engine, end to end through the experiment runner: plan
- * purity, --jobs/backend/drain-mode independence of faulty results,
+ * purity, --jobs/backend independence of faulty results,
  * trace replay bit-identity, graceful degradation under a persistent
  * PFS outage, and the retry policy riding out a storage fault that
  * lands in the same epoch as an injected process failure.
@@ -90,7 +90,7 @@ TEST(ExperimentFaults, FaultsChangeResultsDeterministically)
     EXPECT_NE(a.mean.total(), off.mean.total());
 }
 
-TEST(ExperimentFaults, ResultsIdenticalAcrossBackendsAndDrainModes)
+TEST(ExperimentFaults, ResultsIdenticalAcrossBackends)
 {
     auto config = faultyConfig(Design::RestartFti, 3);
     config.ckptLevel = 4; // exercise the drain path under faults
@@ -100,14 +100,6 @@ TEST(ExperimentFaults, ResultsIdenticalAcrossBackendsAndDrainModes)
     auto disk = config;
     disk.storage = storage::Kind::Disk;
     expectIdenticalResults(baseline, runExperiment(disk));
-
-    auto sync_drain = config;
-    sync_drain.drain = storage::DrainMode::Sync;
-    expectIdenticalResults(baseline, runExperiment(sync_drain));
-
-    auto shallow = config;
-    shallow.drainDepth = 1;
-    expectIdenticalResults(baseline, runExperiment(shallow));
 }
 
 TEST(ExperimentFaults, TraceReplayReproducesDrawnPlanBitForBit)

@@ -8,13 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "src/fti/fti.hh"
@@ -272,67 +268,6 @@ TEST(Fti, L4DifferentialWritesOnlyChangedBlocks)
         EXPECT_DOUBLE_EQ(data[1], 1.0);
         EXPECT_DOUBLE_EQ(data[n - 1], 1.0);
     });
-    Fti::purge(cfg);
-}
-
-TEST(Fti, L4RecoverWhileDrainPending)
-{
-    // Restart-while-draining: the first incarnation dies with its L4
-    // flush still queued behind a parked async drain; the restarted
-    // job's recover() must quiesce the drain before reading the PFS
-    // and then restore bit-for-bit.
-    auto cfg = testConfig("l4pending", 4);
-    cfg.drain = std::make_shared<match::storage::DrainWorker>(
-        match::storage::DrainMode::Async);
-    Fti::purge(cfg);
-    const int procs = 4;
-
-    std::mutex gate_mutex;
-    std::condition_variable gate_cv;
-    bool gate_open = false;
-    cfg.drain->enqueue([&]() -> std::uint64_t {
-        std::unique_lock<std::mutex> lock(gate_mutex);
-        gate_cv.wait(lock, [&] { return gate_open; });
-        return 0;
-    });
-
-    Runtime rt1;
-    rt1.run(options(procs), [&](Proc &proc) {
-        fti::Fti fti(proc, cfg);
-        std::vector<double> data(200);
-        int iter = 11;
-        fti.protect(0, &iter, sizeof(iter));
-        fti.protect(1, data.data(), data.size() * sizeof(double));
-        fillPattern(data, proc.rank(), 7);
-        fti.checkpoint(1);
-        // No finalize: the job dies with the flush undrained.
-    });
-    EXPECT_GE(cfg.drain->pendingJobs(), 1u)
-        << "the L4 flush must still be parked behind the gate";
-
-    std::thread opener([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        std::lock_guard<std::mutex> lock(gate_mutex);
-        gate_open = true;
-        gate_cv.notify_all();
-    });
-    Runtime rt2;
-    rt2.run(options(procs), [&](Proc &proc) {
-        fti::Fti fti(proc, cfg);
-        std::vector<double> data(200, -1.0);
-        int iter = 0;
-        fti.protect(0, &iter, sizeof(iter));
-        fti.protect(1, data.data(), data.size() * sizeof(double));
-        EXPECT_EQ(fti.status(), 1)
-            << "the commit record is durable before the drain";
-        fti.recover(); // quiesces the drain, then reads the PFS copy
-        EXPECT_EQ(iter, 11);
-        std::vector<double> expect(200);
-        fillPattern(expect, proc.rank(), 7);
-        EXPECT_EQ(data, expect);
-        fti.finalize();
-    });
-    opener.join();
     Fti::purge(cfg);
 }
 

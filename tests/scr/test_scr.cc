@@ -7,13 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/ft/design.hh"
@@ -295,124 +291,40 @@ TEST(Scr, FlushRestartFetchesFromPrefixAfterCacheLoss)
     Scr::purge(cfg);
 }
 
-TEST(Scr, RestartWithPendingDrainFallsBackToLastDrainedDataset)
+TEST(Scr, RestartFallsBackToNewestFullyFlushedDataset)
 {
-    // Cache loss while dataset 2's flush is still queued: the pending
-    // flush fails softly (its source is gone), so no flushed marker
-    // appears and the restart — which first quiesces the drain — falls
-    // back to dataset 1, the newest fully drained copy. Exactly the
-    // undrained dataset is lost.
-    auto cfg = testConfig("flush-pending", Redundancy::Single);
+    // A dataset is fetchable from the prefix only when every rank's
+    // flushed marker exists. Dataset 2 loses rank 1's marker (its part
+    // of the flush never landed) and the node caches die: the restart
+    // must fall back to dataset 1, the newest fully flushed copy.
+    auto cfg = testConfig("flush-partial", Redundancy::Single);
     cfg.flushEvery = 1;
-    cfg.drain =
-        std::make_shared<storage::DrainWorker>(storage::DrainMode::Async);
     Scr::purge(cfg);
-
-    // Park the drain behind a gate so dataset 2's flush stays queued.
-    std::mutex gate_mutex;
-    std::condition_variable gate_cv;
-    bool gate_open = false;
-    auto openGate = [&] {
-        std::lock_guard<std::mutex> lock(gate_mutex);
-        gate_open = true;
-        gate_cv.notify_all();
-    };
+    const int procs = 2;
 
     Runtime rt1;
-    rt1.run(options(1), [&](Proc &proc) {
+    rt1.run(options(procs), [&](Proc &proc) {
         Scr scr(proc, cfg);
-        std::vector<double> state(16, 1.0);
-        scr.startCheckpoint();
-        writeState(scr.routeFile("s.bin"), state);
-        scr.completeCheckpoint(true);
-        // Dataset 1 is flushed and drained; now gate the worker.
-        cfg.drain->quiesce();
-        cfg.drain->enqueue([&]() -> std::uint64_t {
-            std::unique_lock<std::mutex> lock(gate_mutex);
-            gate_cv.wait(lock, [&] { return gate_open; });
-            return 0;
-        });
-        state.assign(16, 2.0);
-        scr.startCheckpoint();
-        writeState(scr.routeFile("s.bin"), state);
-        scr.completeCheckpoint(true); // flush of dataset 2: queued
-        // No finalize: the incarnation dies with the drain pending.
+        for (const double value : {1.0, 2.0}) {
+            std::vector<double> state(16, value);
+            scr.startCheckpoint();
+            writeState(scr.routeFile("s.bin"), state);
+            scr.completeCheckpoint(true);
+        }
+        scr.finalize();
     });
-    fs::remove_all(cfg.cacheDir + "/" + cfg.jobId); // node cache dies
+    ASSERT_TRUE(fs::remove(Scr::flushedMarkerFile(cfg, 2, 1)));
+    fs::remove_all(cfg.cacheDir + "/" + cfg.jobId); // node caches die
 
-    // The restart quiesces the drain before scanning; open the gate
-    // from the side so the queued flush runs (and fails softly).
-    std::thread opener([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        openGate();
-    });
     Runtime rt2;
-    rt2.run(options(1), [&](Proc &proc) {
+    rt2.run(options(procs), [&](Proc &proc) {
         Scr scr(proc, cfg);
         ASSERT_TRUE(scr.haveRestart());
         scr.startRestart();
         std::vector<double> state(16, 0.0);
         ASSERT_TRUE(readState(scr.routeRestartFile("s.bin"), state));
         EXPECT_DOUBLE_EQ(state[0], 1.0)
-            << "restart must fall back to drained dataset 1";
-        scr.completeRestart(true);
-    });
-    opener.join();
-    Scr::purge(cfg);
-}
-
-TEST(Scr, CrashedDrainLosesExactlyTheUndrainedFlush)
-{
-    // As above, but the node crash discards the queued flush outright
-    // (DrainWorker::crash) instead of letting it fail on a lost source.
-    auto cfg = testConfig("flush-crash", Redundancy::Single);
-    cfg.flushEvery = 1;
-    cfg.drain =
-        std::make_shared<storage::DrainWorker>(storage::DrainMode::Async);
-    Scr::purge(cfg);
-
-    std::mutex gate_mutex;
-    std::condition_variable gate_cv;
-    bool gate_open = false;
-
-    Runtime rt1;
-    rt1.run(options(1), [&](Proc &proc) {
-        Scr scr(proc, cfg);
-        std::vector<double> state(8, 1.0);
-        scr.startCheckpoint();
-        writeState(scr.routeFile("s.bin"), state);
-        scr.completeCheckpoint(true);
-        cfg.drain->quiesce(); // dataset 1 fully drained
-        cfg.drain->enqueue([&]() -> std::uint64_t {
-            std::unique_lock<std::mutex> lock(gate_mutex);
-            gate_cv.wait(lock, [&] { return gate_open; });
-            return 0;
-        });
-        state.assign(8, 2.0);
-        scr.startCheckpoint();
-        writeState(scr.routeFile("s.bin"), state);
-        scr.completeCheckpoint(true); // flush of dataset 2: queued
-    });
-    cfg.drain->crash(); // node dies before the queued flush drains
-    EXPECT_GE(cfg.drain->discardedJobs(), 1u);
-    {
-        // Unpark the gate job (it may have started; crash never
-        // discards a started job) so the drain can quiesce.
-        std::lock_guard<std::mutex> lock(gate_mutex);
-        gate_open = true;
-        gate_cv.notify_all();
-    }
-    fs::remove_all(cfg.cacheDir + "/" + cfg.jobId);
-
-    Runtime rt2;
-    rt2.run(options(1), [&](Proc &proc) {
-        Scr scr(proc, cfg);
-        ASSERT_TRUE(scr.haveRestart());
-        scr.startRestart();
-        std::vector<double> state(8, 0.0);
-        ASSERT_TRUE(readState(scr.routeRestartFile("s.bin"), state));
-        EXPECT_DOUBLE_EQ(state[0], 1.0)
-            << "the crashed flush must lose only dataset 2";
+            << "restart must fall back to fully flushed dataset 1";
         scr.completeRestart(true);
     });
     Scr::purge(cfg);

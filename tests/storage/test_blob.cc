@@ -3,21 +3,24 @@
  * Blob/BlobPool semantics: refcounted immutability (a view survives
  * remove and overwrite of its path), pool recycling that never aliases
  * live blobs, exact-once copy accounting in fetch(), and a concurrency
- * stress of pool recycle racing drain traffic (the TSAN CI lane runs
- * this under -fsanitize=thread).
+ * stress of pool recycle racing cross-thread blob releases (the TSAN CI
+ * lane runs this under -fsanitize=thread).
  */
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/storage/backend.hh"
 #include "src/storage/blob.hh"
-#include "src/storage/drain.hh"
 
 using namespace match;
 using match::storage::Backend;
@@ -186,17 +189,39 @@ TEST(Fetch, CopiesExactlyOnceOnDiskBackend)
     backend->removeTree(root);
 }
 
-TEST(BlobStress, ConcurrentPoolRecycleAndDrainTraffic)
+TEST(BlobStress, ConcurrentPoolRecycleAndCrossThreadRelease)
 {
-    // One shared pool and backend, hammered from three sides at once:
-    // writers stage blobs and transfer them to the store, a drain
-    // worker executes flush jobs holding blob refs, and the main
-    // thread overwrites/removes the same paths. Every held view must
-    // keep serving the exact bytes it was taken over — recycled
-    // buffers may only be handed out once their last ref dropped.
+    // One shared backend, hammered from several threads at once:
+    // writers stage blobs from their own pools and transfer them to the
+    // store, hand a view to a consumer thread, and overwrite/remove the
+    // same paths. The consumer drops the last ref of many views, so
+    // buffers return to a pool from a thread that did not acquire them.
+    // Every held view must keep serving the exact bytes it was taken
+    // over — recycled buffers may only be handed out once their last
+    // ref dropped.
     const auto backend = storage::makeBackend(Kind::Mem);
-    storage::DrainWorker drain(storage::DrainMode::Async, 4);
     constexpr int kThreads = 4, kRounds = 64;
+    std::mutex mutex;
+    std::condition_variable ready;
+    std::deque<std::pair<Blob, std::string>> handoff;
+    int writersLeft = kThreads;
+    int consumed = 0;
+    std::thread consumer([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            ready.wait(lock,
+                       [&] { return !handoff.empty() || writersLeft == 0; });
+            if (handoff.empty())
+                return;
+            auto [view, text] = std::move(handoff.front());
+            handoff.pop_front();
+            lock.unlock();
+            EXPECT_EQ(asText(view), text);
+            view = Blob(); // release here, off the acquiring thread
+            lock.lock();
+            ++consumed;
+        }
+    });
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
@@ -208,22 +233,23 @@ TEST(BlobStress, ConcurrentPoolRecycleAndDrainTraffic)
                     path + "#" + std::to_string(round);
                 backend->write(path, sealText(pool, text));
                 const Blob view = backend->view(path);
-                drain.enqueue([view, text]() -> std::uint64_t {
-                    // The drain holds a ref: the payload must stay
-                    // intact whatever the writers recycle meanwhile.
-                    EXPECT_EQ(asText(view), text);
-                    return view.size();
-                });
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    handoff.emplace_back(view, text);
+                }
+                ready.notify_one();
                 backend->copy(path, path + ".mirror");
                 if (round % 8 == 7)
                     backend->remove(path);
                 EXPECT_EQ(asText(view), text);
             }
+            std::lock_guard<std::mutex> lock(mutex);
+            --writersLeft;
+            ready.notify_one();
         });
     }
     for (auto &thread : threads)
         thread.join();
-    drain.quiesce();
-    EXPECT_EQ(drain.completedJobs(),
-              static_cast<std::uint64_t>(kThreads) * kRounds);
+    consumer.join();
+    EXPECT_EQ(consumed, kThreads * kRounds);
 }
