@@ -47,54 +47,78 @@ struct Level
     }
 };
 
+/** Stand-in for a y/z neighbour row outside the grid (Dirichlet zero);
+ *  no level is wider than the capped fine grid. */
+const double zeroRow[realCap] = {};
+
+/**
+ * Visit every point of the 7-point stencil on u in index order:
+ * `point(i, u_i, nb)` gets the point's index, its value and the sum of
+ * its six neighbours, accumulated as 0.0 + x-1 + x+1 + y-1 + y+1 +
+ * z-1 + z+1 with +0.0 for each neighbour outside the grid. A missing
+ * y/z row reads zeroRow and a missing x neighbour selects 0.0, so a
+ * boundary point performs the same additions in the same order as an
+ * interior one, and no per-point index math is needed.
+ */
+template <typename Point>
+void
+forEachStencil(const Level &lvl, Point &&point)
+{
+    const int n = lvl.n;
+    const std::size_t row = static_cast<std::size_t>(n);
+    const std::size_t plane = row * n;
+    const double *u = lvl.u.data();
+    std::size_t i = 0;
+    for (int z = 0; z < n; ++z) {
+        for (int y = 0; y < n; ++y, i += row) {
+            const double *c = u + i;
+            const double *ym = y > 0 ? c - row : zeroRow;
+            const double *yp = y < n - 1 ? c + row : zeroRow;
+            const double *zm = z > 0 ? c - plane : zeroRow;
+            const double *zp = z < n - 1 ? c + plane : zeroRow;
+            for (int x = 0; x < n; ++x) {
+                double nb = 0.0;
+                nb += x > 0 ? c[x - 1] : 0.0;
+                nb += x < n - 1 ? c[x + 1] : 0.0;
+                nb += ym[x];
+                nb += yp[x];
+                nb += zm[x];
+                nb += zp[x];
+                point(i + x, c[x], nb);
+            }
+        }
+    }
+}
+
 /** Weighted-Jacobi sweeps on -Laplace(u) = f (7-point, Dirichlet). */
 void
 smooth(Level &lvl, int sweeps)
 {
-    const int n = lvl.n;
+    const double *f = lvl.f.data();
+    double *tmp = lvl.tmp.data();
     for (int s = 0; s < sweeps; ++s) {
-        for (int z = 0; z < n; ++z) {
-            for (int y = 0; y < n; ++y) {
-                for (int x = 0; x < n; ++x) {
-                    double nb = 0.0;
-                    nb += x > 0 ? lvl.u[lvl.idx(x - 1, y, z)] : 0.0;
-                    nb += x < n - 1 ? lvl.u[lvl.idx(x + 1, y, z)] : 0.0;
-                    nb += y > 0 ? lvl.u[lvl.idx(x, y - 1, z)] : 0.0;
-                    nb += y < n - 1 ? lvl.u[lvl.idx(x, y + 1, z)] : 0.0;
-                    nb += z > 0 ? lvl.u[lvl.idx(x, y, z - 1)] : 0.0;
-                    nb += z < n - 1 ? lvl.u[lvl.idx(x, y, z + 1)] : 0.0;
-                    lvl.tmp[lvl.idx(x, y, z)] =
-                        (lvl.f[lvl.idx(x, y, z)] + nb) / 6.0;
-                }
-            }
-        }
+        forEachStencil(lvl, [&](std::size_t i, double, double nb) {
+            tmp[i] = (f[i] + nb) / 6.0;
+        });
         // Damped update (omega = 2/3).
         for (std::size_t i = 0; i < lvl.u.size(); ++i)
             lvl.u[i] += (2.0 / 3.0) * (lvl.tmp[i] - lvl.u[i]);
     }
 }
 
-/** residual r = f + Laplace(u), returned into tmp. */
-void
+/** residual r = f + Laplace(u), returned into tmp; returns r.r summed
+ *  in index order. */
+double
 residual(Level &lvl)
 {
-    const int n = lvl.n;
-    for (int z = 0; z < n; ++z) {
-        for (int y = 0; y < n; ++y) {
-            for (int x = 0; x < n; ++x) {
-                double nb = 0.0;
-                nb += x > 0 ? lvl.u[lvl.idx(x - 1, y, z)] : 0.0;
-                nb += x < n - 1 ? lvl.u[lvl.idx(x + 1, y, z)] : 0.0;
-                nb += y > 0 ? lvl.u[lvl.idx(x, y - 1, z)] : 0.0;
-                nb += y < n - 1 ? lvl.u[lvl.idx(x, y + 1, z)] : 0.0;
-                nb += z > 0 ? lvl.u[lvl.idx(x, y, z - 1)] : 0.0;
-                nb += z < n - 1 ? lvl.u[lvl.idx(x, y, z + 1)] : 0.0;
-                lvl.tmp[lvl.idx(x, y, z)] = lvl.f[lvl.idx(x, y, z)] -
-                                            (6.0 * lvl.u[lvl.idx(x, y, z)] -
-                                             nb);
-            }
-        }
-    }
+    const double *f = lvl.f.data();
+    double *tmp = lvl.tmp.data();
+    double rr = 0.0;
+    forEachStencil(lvl, [&](std::size_t i, double ui, double nb) {
+        tmp[i] = f[i] - (6.0 * ui - nb);
+        rr += tmp[i] * tmp[i];
+    });
+    return rr;
 }
 
 /** Full-weighting restriction of lvl.tmp (residual) into coarse.f. */
@@ -218,11 +242,7 @@ amgMain(Proc &proc, const fti::FtiConfig &fti_config,
         proc.sleepFor(coarseSecondsPerProc * size);
 
         // Residual norm: one allreduce per cycle.
-        residual(fine);
-        double local = 0.0;
-        for (double v : fine.tmp)
-            local += v * v;
-        norm = std::sqrt(proc.allreduce(local));
+        norm = std::sqrt(proc.allreduce(residual(fine)));
     });
 
     fti.finalize();

@@ -33,6 +33,84 @@ constexpr int realAtoms = 64;
 constexpr double ljCutoff = 2.5;
 constexpr double boxEdge = 8.0; ///< real local box edge (sigma units)
 
+/** Verlet skin: the pair list holds every i<j pair within
+ *  ljCutoff + skin and is rebuilt once any atom has moved
+ *  rebuildFraction * skin since the last build. Two atoms then close
+ *  in by less than 2 * 0.45 * skin, so every pair inside the cutoff is
+ *  on the list. */
+constexpr double verletSkin = 0.3;
+constexpr double rebuildFraction = 0.45;
+
+/**
+ * i<j Verlet pair list over the real atoms. It is derived from the
+ * positions, never protected: rebuildIfStale() compares the current
+ * positions with the ones it was built from, so a list is rebuilt after
+ * any move large enough to matter, whether from integration or from a
+ * checkpoint restore. The comparisons are written so that NaN
+ * positions include a pair and force a rebuild, as the all-pairs loop
+ * would have visited the pair.
+ */
+class PairList
+{
+  public:
+    explicit PairList(int n)
+        : start_(static_cast<std::size_t>(n) + 1, 0),
+          x0_(n, std::nan("")), y0_(n, std::nan("")), z0_(n, std::nan(""))
+    {}
+
+    void
+    rebuildIfStale(const std::vector<double> &px,
+                   const std::vector<double> &py,
+                   const std::vector<double> &pz)
+    {
+        const double max_move = rebuildFraction * verletSkin;
+        const double max2 = max_move * max_move;
+        const std::size_t n = px.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            const double dx = px[i] - x0_[i];
+            const double dy = py[i] - y0_[i];
+            const double dz = pz[i] - z0_[i];
+            if (!(dx * dx + dy * dy + dz * dz <= max2)) {
+                rebuild(px, py, pz);
+                return;
+            }
+        }
+    }
+
+    /** Partners j > i of atom i, ascending. */
+    const int *begin(int i) const { return pairs_.data() + start_[i]; }
+    const int *end(int i) const { return pairs_.data() + start_[i + 1]; }
+
+  private:
+    void
+    rebuild(const std::vector<double> &px, const std::vector<double> &py,
+            const std::vector<double> &pz)
+    {
+        const double reach = ljCutoff + verletSkin;
+        const double reach2 = reach * reach;
+        const int n = static_cast<int>(px.size());
+        pairs_.clear();
+        for (int i = 0; i < n; ++i) {
+            start_[i] = pairs_.size();
+            for (int j = i + 1; j < n; ++j) {
+                const double dx = px[i] - px[j];
+                const double dy = py[i] - py[j];
+                const double dz = pz[i] - pz[j];
+                if (!(dx * dx + dy * dy + dz * dz > reach2))
+                    pairs_.push_back(j);
+            }
+        }
+        start_[n] = pairs_.size();
+        x0_ = px;
+        y0_ = py;
+        z0_ = pz;
+    }
+
+    std::vector<std::size_t> start_;
+    std::vector<int> pairs_;
+    std::vector<double> x0_, y0_, z0_; ///< positions at the last build
+};
+
 } // anonymous namespace
 
 ComdConfig
@@ -106,6 +184,7 @@ comdMain(Proc &proc, const fti::FtiConfig &fti_config,
         ghost_hi(32 * 3);
 
     const double dt = 1e-3;
+    PairList pairs(n);
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.steps, [&](int) {
         // Exchange boundary atom positions with the z neighbors.
@@ -118,15 +197,19 @@ comdMain(Proc &proc, const fti::FtiConfig &fti_config,
                        ghost_lo.data(), ghost_hi.data(),
                        halo_out.size() * sizeof(double), halo_virt);
 
-        // Lennard-Jones forces with a cutoff (all-pairs on the small
-        // real set; the Table-I-scale force loop is priced below).
+        // Lennard-Jones forces with a cutoff (the Table-I-scale force
+        // loop is priced below). Pairs are visited in the all-pairs
+        // i<j order, so every force and the potential accumulate in
+        // the same order; the list only skips pairs beyond the cutoff.
         std::fill(fx.begin(), fx.end(), 0.0);
         std::fill(fy.begin(), fy.end(), 0.0);
         std::fill(fz.begin(), fz.end(), 0.0);
         double pot = 0.0;
         const double rc2 = ljCutoff * ljCutoff;
+        pairs.rebuildIfStale(px, py, pz);
         for (int i = 0; i < n; ++i) {
-            for (int j = i + 1; j < n; ++j) {
+            for (const int *jp = pairs.begin(i); jp != pairs.end(i); ++jp) {
+                const int j = *jp;
                 const double dx = px[i] - px[j];
                 const double dy = py[i] - py[j];
                 const double dz = pz[i] - pz[j];

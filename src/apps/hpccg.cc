@@ -61,30 +61,45 @@ struct LocalCg
     }
 };
 
-/** 7-point Laplacian SpMV on the ghosted p: ap = A*p. SPD with the
- *  diagonal dominating (6+1 on the diagonal keeps CG well-behaved). */
-void
-spmv(LocalCg &cg)
+/** 7-point Laplacian SpMV on the ghosted p: ap = A*p, returning the
+ *  local p.Ap summed in row order. SPD with the diagonal dominating
+ *  (6+1 on the diagonal keeps CG well-behaved).
+ *
+ *  A missing x/y neighbour subtracts +0.0. The running sum is always
+ *  an arithmetic result (never a signalling NaN), and s - (+0.0) == s
+ *  for every such s, -0.0 and NaN included, so each sum equals the one
+ *  that skips the neighbour while the row loop stays contiguous and
+ *  branch-free. Every neighbour load stays inside the ghosted array
+ *  (the interior starts one plane in). */
+double
+spmvDot(LocalCg &cg)
 {
-    const std::size_t pl = cg.plane();
+    const int nx = cg.nx;
+    const std::ptrdiff_t pl = static_cast<std::ptrdiff_t>(cg.plane());
+    const double *p = cg.p.data() + pl; // interior, row-major like ap
+    double *ap = cg.ap.data();
+    double pap = 0.0;
     for (int z = 0; z < cg.nz; ++z) {
         for (int y = 0; y < cg.ny; ++y) {
-            for (int x = 0; x < cg.nx; ++x) {
-                const std::size_t i =
-                    static_cast<std::size_t>(y) * cg.nx + x +
-                    static_cast<std::size_t>(z) * pl;
-                const std::size_t g = cg.gidx(i % pl, z);
-                double sum = 7.0 * cg.p[g];
-                if (x > 0) sum -= cg.p[g - 1];
-                if (x < cg.nx - 1) sum -= cg.p[g + 1];
-                if (y > 0) sum -= cg.p[g - cg.nx];
-                if (y < cg.ny - 1) sum -= cg.p[g + cg.nx];
-                sum -= cg.p[g - pl]; // ghost planes are zero at ends
-                sum -= cg.p[g + pl];
-                cg.ap[i] = sum;
+            const bool has_lo_y = y > 0, has_hi_y = y < cg.ny - 1;
+            for (int x = 0; x < nx; ++x) {
+                const double left = p[x - 1], right = p[x + 1];
+                const double down = p[x - nx], up = p[x + nx];
+                double sum = 7.0 * p[x];
+                sum -= x > 0 ? left : 0.0;
+                sum -= x < nx - 1 ? right : 0.0;
+                sum -= has_lo_y ? down : 0.0;
+                sum -= has_hi_y ? up : 0.0;
+                sum -= p[x - pl]; // ghost planes are zero at ends
+                sum -= p[x + pl];
+                ap[x] = sum;
+                pap += p[x] * sum;
             }
+            p += nx;
+            ap += nx;
         }
     }
+    return pap;
 }
 
 double
@@ -167,32 +182,34 @@ hpccgMain(Proc &proc, const fti::FtiConfig &fti_config,
                        static_cast<std::size_t>(real_bytes_halo),
                        static_cast<std::size_t>(virt_bytes_halo));
 
-        spmv(cg);
+        const double local_pap = spmvDot(cg);
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 
-        double local_pap = 0.0;
-        for (int z = 0; z < cg.nz; ++z)
-            for (std::size_t i = 0; i < pl; ++i)
-                local_pap += cg.p[cg.gidx(i, z)] * cg.ap[z * pl + i];
         const double pap = proc.allreduce(local_pap);
         // Guard against exact convergence within the fixed iteration
         // budget (keeps re-executed iterations NaN-free).
         const double alpha = pap != 0.0 ? cg.rtrans / pap : 0.0;
-        for (int z = 0; z < cg.nz; ++z) {
-            for (std::size_t i = 0; i < pl; ++i) {
-                cg.x[cg.gidx(i, z)] += alpha * cg.p[cg.gidx(i, z)];
-                cg.r[z * pl + i] -= alpha * cg.ap[z * pl + i];
-            }
+        // The ghosted x and p are addressed from their interior, where
+        // row i lines up with r[i] and ap[i]; r.r is summed as r is
+        // updated, in the same row order as a separate dot.
+        const std::size_t rows = cg.rows();
+        double *xi = cg.x.data() + pl;
+        double *pi = cg.p.data() + pl;
+        double *r = cg.r.data();
+        const double *ap = cg.ap.data();
+        double local_rr = 0.0;
+        for (std::size_t i = 0; i < rows; ++i) {
+            xi[i] += alpha * pi[i];
+            r[i] -= alpha * ap[i];
+            local_rr += r[i] * r[i];
         }
         const double old_rtrans = cg.rtrans;
-        cg.rtrans = proc.allreduce(localDot(cg.r, cg.r, cg.rows()));
+        cg.rtrans = proc.allreduce(local_rr);
         const double beta =
             old_rtrans != 0.0 ? cg.rtrans / old_rtrans : 0.0;
-        for (int z = 0; z < cg.nz; ++z)
-            for (std::size_t i = 0; i < pl; ++i)
-                cg.p[cg.gidx(i, z)] =
-                    cg.r[z * pl + i] + beta * cg.p[cg.gidx(i, z)];
+        for (std::size_t i = 0; i < rows; ++i)
+            pi[i] = r[i] + beta * pi[i];
     });
 
     fti.finalize();

@@ -105,28 +105,51 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
     std::vector<std::int32_t> digest(64), all_digests(
         static_cast<std::size_t>(64) * size);
 
+    // Per-pass scratch, hoisted out of the loop: the next assignment and
+    // a tally of neighbour communities indexed by community id. The
+    // tally is all zero between vertices (each vertex clears what it
+    // counted) and holds no state across passes.
+    std::vector<std::int32_t> next(n);
+    std::vector<int> tally(n, 0);
+    const auto in_range = [n](std::int32_t c) {
+        return static_cast<std::uint32_t>(c) < static_cast<std::uint32_t>(n);
+    };
+
     // The paper's checkpoint stride of 10 applies to miniVite's short
     // phase loop too (one checkpoint mid-run).
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.maxPhases, [&](int) {
         // Local Louvain pass: move each vertex to the most frequent
-        // community among its neighbours (greedy modularity proxy).
-        std::vector<std::int32_t> next = community;
+        // community among its neighbours (greedy modularity proxy);
+        // ties go to the neighbour community with the smallest id.
         for (int v = 0; v < n; ++v) {
+            const std::vector<int> &nbrs = adj[v];
+            for (int w : nbrs)
+                if (in_range(community[w]))
+                    ++tally[community[w]];
             int best = community[v];
             int best_count = 0;
-            // Count neighbour communities with a small linear scan
-            // (degree is tiny).
-            for (int u : adj[v]) {
+            for (int u : nbrs) {
+                const std::int32_t c = community[u];
                 int count = 0;
-                for (int w : adj[v])
-                    count += (community[w] == community[u]);
-                if (count > best_count ||
-                    (count == best_count && community[u] < best)) {
-                    best_count = count;
-                    best = community[u];
+                if (in_range(c)) {
+                    count = tally[c];
+                } else {
+                    // Ids outside [0, n) only come from a restore that
+                    // no checksum vetted; count them by a scan.
+                    for (int w : nbrs)
+                        count += (community[w] == c);
                 }
+                // Bitwise, not short-circuit: the outcome is data
+                // dependent, and selects beat mispredicted branches.
+                const bool better = (count > best_count) |
+                                    ((count == best_count) & (c < best));
+                best_count = better ? count : best_count;
+                best = better ? c : best;
             }
+            for (int w : nbrs)
+                if (in_range(community[w]))
+                    tally[community[w]] = 0;
             next[v] = best;
         }
         // Copy in place rather than swap: FTI protects

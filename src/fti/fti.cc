@@ -456,7 +456,7 @@ Fti::writePartnerCopy(int ckpt_id, const storage::Blob &blob)
 }
 
 void
-Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
+Fti::encodeGroupParity(int ckpt_id, const std::vector<std::uint64_t> &sizes)
 {
     // The group leader (first rank of each encoding group) reads the
     // group's data files, pads them to the longest, and writes one parity
@@ -482,8 +482,7 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     // store then takes by ownership transfer.
     std::size_t stripe = 0;
     for (int i = 0; i < k; ++i)
-        stripe =
-            std::max<std::size_t>(stripe, meta.ranks[group_lo + i].bytes);
+        stripe = std::max<std::size_t>(stripe, sizes[group_lo + i]);
     std::vector<RsCodec::ShardView> data(k);
     std::vector<storage::Blob> members(k);
     for (int i = 0; i < k; ++i) {
@@ -869,7 +868,10 @@ Fti::checkpoint(int ckpt_id, int level)
     meta.ckptId = ckpt_id;
     meta.level = level;
     meta.nprocs = size;
-    meta.ranks.resize(static_cast<std::size_t>(size));
+    // Only the root receives: sizing the record on every rank would be
+    // O(P) zero-fill per rank, O(P^2) per checkpoint.
+    if (rank == 0)
+        meta.ranks.resize(static_cast<std::size_t>(size));
     const MetaRank mine{blob_bytes, crc};
     proc_.gather(0, &mine, sizeof(mine), meta.ranks.data(), comm_);
 
@@ -880,10 +882,7 @@ Fti::checkpoint(int ckpt_id, int level)
         std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size));
         std::uint64_t my_size = blob_bytes;
         proc_.allgather(&my_size, sizeof(my_size), sizes.data(), comm_);
-        MetaInfo enc_meta = meta;
-        for (int r = 0; r < size; ++r)
-            enc_meta.ranks[r].bytes = sizes[r];
-        encodeGroupParity(ckpt_id, enc_meta);
+        encodeGroupParity(ckpt_id, sizes);
         proc_.barrier(comm_);
     }
 

@@ -214,7 +214,8 @@ class Fti
     void deserializeRegions(const std::uint8_t *data, std::size_t bytes);
     void writeLocal(int ckpt_id, const storage::Blob &blob);
     void writePartnerCopy(int ckpt_id, const storage::Blob &blob);
-    void encodeGroupParity(int ckpt_id, const MetaInfo &meta);
+    void encodeGroupParity(int ckpt_id,
+                           const std::vector<std::uint64_t> &sizes);
     /** Stage the blob (a refcount, not a copy), run its PFS flush and
      *  admit the flush to the virtual drain channel. */
     void enqueuePfsFlush(int ckpt_id, storage::Blob blob);

@@ -126,6 +126,7 @@ Runtime::runImpl(const JobOptions &options, std::function<void(int)> body)
     abortTime_ = 0.0;
     reinitRestartTime_ = 0.0;
     failureCount_ = 0;
+    failedNow_ = 0;
     recoveries_ = 0;
     failureFired_ = false;
     failedRank_ = -1;
@@ -367,6 +368,7 @@ Runtime::killRank(int g, int iteration)
     rs.failed = true;
     rs.failTime = rs.clock;
     ++failureCount_;
+    ++failedNow_;
     failureFired_ = true;
     failedRank_ = g;
     failTime_ = rs.clock;
@@ -459,6 +461,7 @@ Runtime::triggerReinitRecovery(SimTime when)
             rs.perCategory[static_cast<int>(TimeCategory::Recovery)] +=
                 std::max(0.0, lost);
             rs.failed = false;
+            --failedNow_;
             rs.deathHandled = false;
             rs.respawned = true;
             rs.clock = reinitRestartTime_;
@@ -606,7 +609,7 @@ Runtime::send(int g, CommId comm, Rank dest, Tag tag, const void *buf,
                  "send destination out of range");
     const int destGlobal = c.members[dest];
     RankState &rs = ranks_[g];
-    if (failureCount_ > 0 && ranks_[destGlobal].failed) {
+    if (failedNow_ > 0 && ranks_[destGlobal].failed) {
         const SimTime detect =
             ranks_[destGlobal].failTime + costModel_.detectionLatency();
         sleepFor(g, std::max(0.0, detect - rs.clock));
@@ -724,7 +727,7 @@ Runtime::recv(int g, CommId comm, Rank src, Tag tag, void *buf,
         }
         // No message queued: fail fast when the awaited peer is dead
         // (MPIX_ERR_PROC_FAILED; for ANY_SOURCE any dead member counts).
-        if (failureCount_ > 0) {
+        if (failedNow_ > 0) {
             bool peerDead = false;
             SimTime peerFailTime = 0.0;
             if (src != anySource) {
@@ -931,7 +934,7 @@ Runtime::joinCollective(int g, CollKind kind, CollData data, CommId comm,
     const Communicator &c = commRef(comm);
     if (c.revoked)
         deliverError(g, Err::Revoked);
-    if (failureCount_ > 0) {
+    if (failedNow_ > 0) {
         // A collective over a communicator with a failed member raises
         // MPIX_ERR_PROC_FAILED for every participant.
         for (int member : c.members) {
@@ -1331,6 +1334,7 @@ Runtime::completeRepair()
             dead.perCategory[static_cast<int>(
                 TimeCategory::Recovery)] += std::max(0.0, lost);
             dead.failed = false;
+            --failedNow_;
             dead.deathHandled = false;
             dead.respawned = true;
             dead.clock = repairOp_.completion;

@@ -617,6 +617,11 @@ class Runtime
     SimTime abortTime_ = 0.0;
     SimTime reinitRestartTime_ = 0.0;
     int failureCount_ = 0;
+    /** Ranks whose `failed` flag is set right now. failureCount_ only
+     *  grows, so the per-operation scans for dead peers are guarded by
+     *  this instead: a Reinit respawn or ULFM spawn repair brings it
+     *  back to 0, a ULFM shrink leaves the dead ranks counted. */
+    int failedNow_ = 0;
     int recoveries_ = 0;
     bool failureFired_ = false;
     Rank failedRank_ = -1;

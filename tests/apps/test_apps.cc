@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 
 #include "src/apps/amg.hh"
@@ -20,6 +21,8 @@
 #include "src/apps/minivite.hh"
 #include "src/core/experiment.hh"
 #include "src/ft/design.hh"
+#include "src/storage/backend.hh"
+#include "src/storage/transform.hh"
 
 namespace fs = std::filesystem;
 using namespace match;
@@ -256,6 +259,135 @@ TEST(AppCheckpoint, MiniviteDeltaCellRepeatsWithinOneProcess)
             << "run " << i;
         EXPECT_EQ(first.perRun[i].total(), second.perRun[i].total())
             << "run " << i;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel state pinned bit for bit
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+struct PinnedRun
+{
+    ft::Breakdown breakdown;
+    std::vector<double> finals;
+};
+
+PinnedRun
+runPinned(const std::string &app, bool inject)
+{
+    const AppSpec &spec = findApp(app);
+    AppParams params;
+    params.input = InputSize::Small;
+    params.nprocs = 8;
+    params.ckptStride = 3;
+    PinnedRun out;
+    out.finals.assign(params.nprocs, 0.0);
+    params.finals = &out.finals;
+    auto cfg = appRunConfig(app, Design::ReinitFti, inject,
+                            std::max(2, spec.loopIterations(params) * 3 / 5),
+                            params.nprocs);
+    cfg.ftiConfig.execId += "-pin";
+    cfg.ftiConfig.backend = storage::makeBackend(storage::Kind::Mem);
+    cfg.ftiConfig.transform = storage::TransformKind::DeltaCompress;
+    out.breakdown = ft::runDesign(cfg, [&](simmpi::Proc &proc,
+                                           const fti::FtiConfig &fcfg) {
+        spec.main(proc, fcfg, params);
+    });
+    return out;
+}
+
+std::string
+hexDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+}
+
+} // namespace
+
+TEST(AppKernels, StatePinnedAcrossOptimizations)
+{
+    // Bit-exact fixture recorded before the kernels got their fast paths
+    // (neighbour selects instead of branches, fused dot products, a
+    // community tally, a Verlet pair list). Those rewrites keep every
+    // element's floating-point operations in their original order, so
+    // the protected bytes, the finals and every priced call must not
+    // move. The delta transform sizes each checkpoint by the bytes that
+    // changed since the last one, so ckptWrite pins the protected state
+    // between checkpoints, and the finals pin it at the end. Under
+    // injection, the finals also equal the failure-free run's.
+    struct Pin
+    {
+        const char *app;
+        double application[2]; ///< {failure-free, injected}
+        double ckptWrite[2];
+        double finals[8];
+    };
+    const Pin pins[] = {
+        {"AMG",
+         {0x1.0023ac8f61ff9p+4, 0x1.19c0d2905ce44p+4},
+         {0x1.14db86612a2c4p-1, 0x1.339b3d47221a1p-1},
+         {0x1.391a26c0ed51cp-10, 0x1.391a26c0ed51cp-10,
+          0x1.391a26c0ed51cp-10, 0x1.391a26c0ed51cp-10,
+          0x1.391a26c0ed51cp-10, 0x1.391a26c0ed51cp-10,
+          0x1.391a26c0ed51cp-10, 0x1.391a26c0ed51cp-10}},
+        {"CoMD",
+         {0x1.7b84c3f68f697p+8, 0x1.86e7779e66f15p+8},
+         {0x1.843c5713fb287p+1, 0x1.8da358ec1cb21p+1},
+         {-0x1.21423a6d693fap+6, -0x1.21423a6d693fap+6,
+          -0x1.21423a6d693fap+6, -0x1.21423a6d693fap+6,
+          -0x1.21423a6d693fap+6, -0x1.21423a6d693fap+6,
+          -0x1.21423a6d693fap+6, -0x1.21423a6d693fap+6}},
+        {"HPCCG",
+         {0x1.98a6dd9b9b04cp+2, 0x1.9e237e35e0c0fp+2},
+         {0x1.936bba4f751aap+1, 0x1.9b33370a138fep+1},
+         {0x1.17c45a82326acp-163, 0x1.17c45a82326acp-163,
+          0x1.17c45a82326acp-163, 0x1.17c45a82326acp-163,
+          0x1.17c45a82326acp-163, 0x1.17c45a82326acp-163,
+          0x1.17c45a82326acp-163, 0x1.17c45a82326acp-163}},
+        {"LULESH",
+         {0x1.45ffc225b504p+9, 0x1.4e26228aa79ecp+9},
+         {0x1.31cfa2fd976cp+1, 0x1.39a1ff3250efep+1},
+         {0x1.2d43e5c9fdc6cp+25, 0x1.12d67ce3cee4cp-120,
+          0x1.5156748281204p-275, 0x1.8d25dcf2648eap-434,
+          0x1.346750507d11dp-595, 0x1.01d9931996973p-758,
+          0x1.362b37979d2fdp-923, 0x0p+0}},
+        {"miniFE",
+         {0x1.6c5a217d1df4p+0, 0x1.8447693dcca42p+0},
+         {0x1.fb4cdab561ad2p+1, 0x1.017e205463762p+2},
+         {0x1.3a92212c03c68p-379, 0x1.3a92212c03c68p-379,
+          0x1.3a92212c03c68p-379, 0x1.3a92212c03c68p-379,
+          0x1.3a92212c03c68p-379, 0x1.3a92212c03c68p-379,
+          0x1.3a92212c03c68p-379, 0x1.3a92212c03c68p-379}},
+        {"miniVite",
+         {0x1.126e3e3e5792ep-2, 0x1.2c93e4c47d575p-2},
+         {0x1.362366d9cb2f8p-2, 0x1.73c68bd81f6cfp-2},
+         {0x1.c6af1681b8d7fp-1, 0x1.c6af1681b8d7fp-1,
+          0x1.c6af1681b8d7fp-1, 0x1.c6af1681b8d7fp-1,
+          0x1.c6af1681b8d7fp-1, 0x1.c6af1681b8d7fp-1,
+          0x1.c6af1681b8d7fp-1, 0x1.c6af1681b8d7fp-1}},
+    };
+    for (const Pin &pin : pins) {
+        for (const bool inject : {false, true}) {
+            const PinnedRun run = runPinned(pin.app, inject);
+            const std::string label =
+                std::string(pin.app) + (inject ? " injected" : " clean");
+            EXPECT_EQ(run.breakdown.application, pin.application[inject])
+                << label << " application "
+                << hexDouble(run.breakdown.application);
+            EXPECT_EQ(run.breakdown.ckptWrite, pin.ckptWrite[inject])
+                << label << " ckptWrite "
+                << hexDouble(run.breakdown.ckptWrite);
+            EXPECT_EQ(run.breakdown.failureFired, inject) << label;
+            for (std::size_t r = 0; r < run.finals.size(); ++r)
+                EXPECT_EQ(run.finals[r], pin.finals[r])
+                    << label << " rank " << r << " final "
+                    << hexDouble(run.finals[r]);
+        }
     }
 }
 

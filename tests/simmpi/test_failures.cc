@@ -356,6 +356,47 @@ TEST(UlfmPolicy, ShrinkingRepairDropsFailedRank)
     EXPECT_EQ(final_size, 3);
 }
 
+TEST(UlfmPolicy, AnySourceRecvAfterShrinkStillSeesTheDeadRank)
+{
+    // A shrinking repair leaves the dead rank failed. A communicator
+    // that still holds it (here the pre-shrink world, left unrevoked)
+    // must keep failing an ANY_SOURCE receive with ProcFailed: the
+    // dead-peer scan stays on after the repair, or the receive would
+    // block forever.
+    Runtime rt;
+    auto p = plan(2, 3);
+    std::vector<int> proc_failed(4, 0);
+    rt.run(options(4, ErrorPolicy::Return, p), [&](Proc &proc) {
+        const CommId old_world = proc.world();
+        bool shrunk = false;
+        proc.setErrorHandler([&](Err err) {
+            if (!shrunk) {
+                CategoryScope recovery(proc, TimeCategory::Recovery);
+                proc.shrinkWorld();
+                shrunk = true;
+            } else if (err == Err::ProcFailed) {
+                ++proc_failed[proc.globalIndex()];
+            }
+            throw UlfmRestart{};
+        });
+        try {
+            for (int i = 0; i < 8; ++i) {
+                proc.iterationPoint(i);
+                proc.allreduce(1.0);
+            }
+        } catch (const UlfmRestart &) {
+        }
+        ASSERT_TRUE(shrunk);
+        try {
+            int value = 0;
+            proc.recv(anySource, 7, &value, sizeof(value), old_world);
+            ADD_FAILURE() << "receive from a dead world returned";
+        } catch (const UlfmRestart &) {
+        }
+    });
+    EXPECT_EQ(proc_failed, (std::vector<int>{1, 1, 1, 0}));
+}
+
 TEST(UlfmPolicy, RecoveryGrowsWithScale)
 {
     auto recoveryTime = [](int procs) {
