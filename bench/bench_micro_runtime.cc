@@ -222,6 +222,43 @@ BM_Allreduce(benchmark::State &state)
 BENCHMARK(BM_Allreduce)->Arg(8)->Arg(64)->Arg(512);
 
 void
+BM_Allgather(benchmark::State &state)
+{
+    // miniVite's digest exchange: 256 B per rank, read through the
+    // shared view every rank gets.
+    const int procs = static_cast<int>(state.range(0));
+    constexpr int kIters = 20, kWarmup = 4;
+    std::uint64_t steady_allocs = 0, steady_colls = 0;
+    for (auto _ : state) {
+        Runtime runtime;
+        JobOptions opts;
+        opts.nprocs = procs;
+        runtime.run(opts, [&](Proc &proc) {
+            std::int32_t digest[64] = {};
+            std::uint64_t before = 0;
+            for (int i = 0; i < kIters; ++i) {
+                if (i == kWarmup && proc.rank() == 0)
+                    before = allocCount();
+                const auto *all = static_cast<const std::int32_t *>(
+                    proc.allgather(digest, sizeof(digest)));
+                digest[0] = all[64 * (i % procs)] + 1;
+            }
+            benchmark::DoNotOptimize(digest[0]);
+            if (proc.rank() == 0) {
+                steady_allocs += allocCount() - before;
+                steady_colls += kIters - kWarmup;
+            }
+        });
+    }
+    state.SetItemsProcessed(state.iterations() * kIters * procs);
+    state.counters["allocsPerEvent"] = benchmark::Counter(
+        steady_colls ? static_cast<double>(steady_allocs) /
+                           static_cast<double>(steady_colls)
+                     : 0.0);
+}
+BENCHMARK(BM_Allgather)->Arg(64)->Arg(512);
+
+void
 BM_JobSpinUp(benchmark::State &state)
 {
     const int procs = static_cast<int>(state.range(0));

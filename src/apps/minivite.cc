@@ -102,8 +102,7 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
         proc.runtime().costModel().params().computeFlops;
     // Boundary community digest exchanged each pass (ghost vertices).
     const std::size_t digest_bytes = 64 * sizeof(std::int32_t);
-    std::vector<std::int32_t> digest(64), all_digests(
-        static_cast<std::size_t>(64) * size);
+    std::vector<std::int32_t> digest(64);
 
     // Per-pass scratch, hoisted out of the loop: the next assignment and
     // a tally of neighbour communities indexed by community id. The
@@ -161,7 +160,7 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
         // Exchange boundary community digests (allgather over ranks).
         for (int i = 0; i < 64; ++i)
             digest[i] = community[i * (n / 64)];
-        proc.allgather(digest.data(), digest_bytes, all_digests.data());
+        proc.allgather(digest.data(), digest_bytes);
 
         // Global modularity proxy: fraction of edges inside communities.
         long local_in = 0, local_all = 0;

@@ -576,12 +576,12 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
     }
     // Delta vs base, built straight into the stored payload:
     // [u64 full size] then [u64 offset][u64 len][bytes] per changed
-    // block (the full size lets recovery handle growth/shrink).
+    // block (the full size lets recovery handle growth/shrink). The
+    // changed blocks are found first, so the payload is sized once and
+    // filled by appends: no zero-fill, no regrowth.
     const std::size_t bs = config.diffBlockSize;
-    std::vector<std::uint8_t> payload(sizeof(std::uint64_t));
-    const std::uint64_t full = blob.size();
-    std::memcpy(payload.data(), &full, sizeof(full));
-    std::uint64_t changed = 0;
+    std::vector<std::size_t> dirty;
+    std::size_t payload_bytes = sizeof(std::uint64_t);
     for (std::size_t off = 0; off < blob.size(); off += bs) {
         const std::size_t len = std::min(bs, blob.size() - off);
         const bool same =
@@ -590,15 +590,25 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
                         len) == 0;
         if (same)
             continue;
-        const std::uint64_t off64 = off, len64 = len;
-        const std::size_t pos = payload.size();
-        payload.resize(pos + sizeof(off64) + sizeof(len64) + len);
-        std::memcpy(payload.data() + pos, &off64, sizeof(off64));
-        std::memcpy(payload.data() + pos + sizeof(off64), &len64,
-                    sizeof(len64));
-        std::memcpy(payload.data() + pos + sizeof(off64) + sizeof(len64),
-                    blob.data() + off, len);
-        changed += len;
+        dirty.push_back(off);
+        payload_bytes += 2 * sizeof(std::uint64_t) + len;
+    }
+    std::vector<std::uint8_t> payload;
+    payload.reserve(payload_bytes);
+    const auto append = [&payload](const void *p, std::size_t n) {
+        const auto *b = static_cast<const std::uint8_t *>(p);
+        payload.insert(payload.end(), b, b + n);
+    };
+    const std::uint64_t full = blob.size();
+    append(&full, sizeof(full));
+    std::uint64_t changed = 0;
+    for (const std::size_t off : dirty) {
+        const std::uint64_t off64 = off;
+        const std::uint64_t len64 = std::min(bs, blob.size() - off);
+        append(&off64, sizeof(off64));
+        append(&len64, sizeof(len64));
+        append(blob.data() + off, len64);
+        changed += len64;
     }
     const std::string delta_path =
         dir + "/delta" + std::to_string(ckpt_id) + ".fti";
@@ -868,20 +878,23 @@ Fti::checkpoint(int ckpt_id, int level)
     meta.ckptId = ckpt_id;
     meta.level = level;
     meta.nprocs = size;
-    // Only the root receives: sizing the record on every rank would be
-    // O(P) zero-fill per rank, O(P^2) per checkpoint.
-    if (rank == 0)
-        meta.ranks.resize(static_cast<std::size_t>(size));
+    // Only the root receives: copying the record on every rank would be
+    // O(P) per rank, O(P^2) per checkpoint.
     const MetaRank mine{blob_bytes, crc};
-    proc_.gather(0, &mine, sizeof(mine), meta.ranks.data(), comm_);
+    const auto *all = static_cast<const MetaRank *>(
+        proc_.gather(0, &mine, sizeof(mine), comm_));
+    if (rank == 0)
+        meta.ranks.assign(all, all + size);
 
     if (level == 3) {
         // All data files must exist before the leaders encode.
         proc_.barrier(comm_);
-        // Distribute sizes so every leader can pad its stripe.
-        std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size));
-        std::uint64_t my_size = blob_bytes;
-        proc_.allgather(&my_size, sizeof(my_size), sizes.data(), comm_);
+        // Distribute sizes so every leader can pad its stripe. The
+        // encode makes simmpi calls, so it needs its own copy.
+        const std::uint64_t my_size = blob_bytes;
+        const auto *view = static_cast<const std::uint64_t *>(
+            proc_.allgather(&my_size, sizeof(my_size), comm_));
+        const std::vector<std::uint64_t> sizes(view, view + size);
         encodeGroupParity(ckpt_id, sizes);
         proc_.barrier(comm_);
     }

@@ -165,18 +165,25 @@ class Proc
         runtime_->bcast(g_, resolve(comm), root, buf, bytes, bytes);
     }
 
-    void
-    gather(Rank root, const void *in, std::size_t bytes, void *out,
+    /**
+     * Every rank contributes `bytes`. The root gets a read-only view of
+     * all size*bytes, ordered by rank; the other ranks get nullptr. The
+     * view points into the collective's one shared result and stays
+     * valid until this rank's next simmpi call: copy what must outlive
+     * it.
+     */
+    const void *
+    gather(Rank root, const void *in, std::size_t bytes,
            CommId comm = commNull)
     {
-        runtime_->gather(g_, resolve(comm), root, in, bytes, out, bytes);
+        return runtime_->gather(g_, resolve(comm), root, in, bytes, bytes);
     }
 
-    void
-    allgather(const void *in, std::size_t bytes, void *out,
-              CommId comm = commNull)
+    /** As gather, but every rank gets the view (the same pointer). */
+    const void *
+    allgather(const void *in, std::size_t bytes, CommId comm = commNull)
     {
-        runtime_->allgather(g_, resolve(comm), in, bytes, out, bytes);
+        return runtime_->allgather(g_, resolve(comm), in, bytes, bytes);
     }
 
     /** Exclusive prefix sum over int64 (rank 0 gets 0). */

@@ -897,15 +897,14 @@ Runtime::releaseColl(int slot)
     op.comm = commNull;
     op.rop = ReduceOp::Sum;
     op.root = 0;
-    op.bytes = 0;
+    op.virtualBytes = 0;
+    op.slice = 0;
     op.expected = 0;
     op.arrivedCount = 0;
     op.consumedCount = 0;
-    // Clear, never shrink: the next op in this slot reuses every
-    // contribution/result buffer at its old capacity.
-    for (auto &contrib : op.contrib)
-        contrib.clear();
-    op.result.clear();
+    // op.slices is left as is: the last consumer still reads its view
+    // of the result, and the next op in this slot resizes the buffer
+    // within its old capacity.
     op.maxArrival = 0.0;
     op.failed = false;
     op.failTime = 0.0;
@@ -923,12 +922,10 @@ Runtime::clearPendingColls()
     }
 }
 
-void
+const std::uint8_t *
 Runtime::joinCollective(int g, CollKind kind, CollData data, CommId comm,
                         ReduceOp rop, Rank root, const void *in,
-                        std::size_t in_bytes, std::size_t virtual_bytes,
-                        void *out, std::size_t out_offset,
-                        std::size_t out_bytes)
+                        std::size_t slice, std::size_t virtual_bytes)
 {
     checkSignals(g);
     const Communicator &c = commRef(comm);
@@ -959,22 +956,28 @@ Runtime::joinCollective(int g, CollKind kind, CollData data, CommId comm,
         op.data = data;
         op.rop = rop;
         op.root = root;
-        op.bytes = virtual_bytes;
+        op.virtualBytes = virtual_bytes;
+        op.slice = slice;
         op.expected = static_cast<int>(c.members.size());
         op.arrived.assign(c.members.size(), false);
-        op.contrib.resize(c.members.size());
+        // Every slice is written before completion, so the stale bytes
+        // of the slot's last op need no clearing.
+        const std::size_t nslices =
+            data == CollData::Bcast ? 1 : c.members.size();
+        op.slices.resize(nslices * slice);
     }
     CollectiveOp &op = collOps_[slot];
     MATCH_ASSERT(op.kind == kind && op.data == data,
                  "mismatched collective across ranks");
+    MATCH_ASSERT(op.slice == slice,
+                 "collective slice size differs across ranks");
     const int lr = localRank(g, comm);
     MATCH_ASSERT(!op.arrived[lr], "rank joined the same collective twice");
     op.arrived[lr] = true;
     ++op.arrivedCount;
-    if (in && in_bytes) {
-        op.contrib[lr].assign(
-            static_cast<const std::uint8_t *>(in),
-            static_cast<const std::uint8_t *>(in) + in_bytes);
+    if (in && slice) {
+        const std::size_t at = data == CollData::Bcast ? 0 : lr * slice;
+        std::memcpy(op.slices.data() + at, in, slice);
     }
     op.maxArrival = std::max(op.maxArrival,
                              rs.clock + costModel_.sideOverhead());
@@ -1005,15 +1008,10 @@ Runtime::joinCollective(int g, CollKind kind, CollData data, CommId comm,
     const SimTime dt = std::max(0.0, fin.completion - rs.clock);
     rs.clock += dt;
     rs.perCategory[static_cast<int>(rs.category)] += dt;
-    if (out_bytes) {
-        // Copy only this rank's share straight out of the shared result
-        // (no per-rank result vector is ever materialized).
-        MATCH_ASSERT(out_offset + out_bytes <= fin.result.size(),
-                     "collective result smaller than requested share");
-        std::memcpy(out, fin.result.data() + out_offset, out_bytes);
-    }
+    const std::uint8_t *result = fin.slices.data();
     if (++fin.consumedCount == fin.expected)
         releaseColl(postSlot);
+    return result;
 }
 
 void
@@ -1030,8 +1028,9 @@ Runtime::completeCollective(CollectiveOp &op)
                      ? costModel_.ulfmCkptFactor(procs)
                      : costModel_.ulfmAppFactor(procs);
     }
-    op.completion = op.maxArrival +
-                    costModel_.collective(op.kind, op.bytes, procs) * factor;
+    op.completion =
+        op.maxArrival +
+        costModel_.collective(op.kind, op.virtualBytes, procs) * factor;
     reduceBytes(op);
     op.done = true;
 }
@@ -1039,28 +1038,26 @@ Runtime::completeCollective(CollectiveOp &op)
 namespace
 {
 
+/** Fold slices 1..n-1 into slice 0 in local-rank order, the order the
+ *  per-rank contributions were always combined in. */
 template <typename T>
 void
-combine(std::vector<std::uint8_t> &acc, const std::vector<std::uint8_t> &in,
-        ReduceOp op)
+combineSlices(std::uint8_t *slices, std::size_t slice, int n, ReduceOp op)
 {
-    if (acc.empty()) {
-        acc = in;
-        return;
-    }
-    MATCH_ASSERT(acc.size() == in.size(), "reduce contribution mismatch");
-    auto *a = reinterpret_cast<T *>(acc.data());
-    const auto *b = reinterpret_cast<const T *>(in.data());
-    const std::size_t n = acc.size() / sizeof(T);
-    for (std::size_t i = 0; i < n; ++i) {
-        switch (op) {
-          case ReduceOp::Sum: a[i] = a[i] + b[i]; break;
-          case ReduceOp::Min: a[i] = std::min(a[i], b[i]); break;
-          case ReduceOp::Max: a[i] = std::max(a[i], b[i]); break;
-          case ReduceOp::Prod: a[i] = a[i] * b[i]; break;
-          case ReduceOp::LogicalAnd:
-            a[i] = static_cast<T>(a[i] && b[i]);
-            break;
+    auto *a = reinterpret_cast<T *>(slices);
+    const std::size_t count = slice / sizeof(T);
+    for (int r = 1; r < n; ++r) {
+        const auto *b = reinterpret_cast<const T *>(slices + r * slice);
+        for (std::size_t i = 0; i < count; ++i) {
+            switch (op) {
+              case ReduceOp::Sum: a[i] = a[i] + b[i]; break;
+              case ReduceOp::Min: a[i] = std::min(a[i], b[i]); break;
+              case ReduceOp::Max: a[i] = std::max(a[i], b[i]); break;
+              case ReduceOp::Prod: a[i] = a[i] * b[i]; break;
+              case ReduceOp::LogicalAnd:
+                a[i] = static_cast<T>(a[i] && b[i]);
+                break;
+            }
         }
     }
 }
@@ -1070,46 +1067,32 @@ combine(std::vector<std::uint8_t> &acc, const std::vector<std::uint8_t> &in,
 void
 Runtime::reduceBytes(CollectiveOp &op)
 {
-    // Every branch combines into op.result in place: a recycled slot's
-    // result vector keeps its capacity, so steady-state collectives
-    // never allocate here.
+    // Every branch works in place on the shared slices, so completion
+    // never allocates. Gather, allgather and bcast need nothing: their
+    // slices already are the result.
     switch (op.data) {
       case CollData::None:
-        op.result.clear();
-        return;
-      case CollData::ReduceDouble:
-        op.result.clear();
-        for (const auto &contrib : op.contrib)
-            combine<double>(op.result, contrib, op.rop);
-        return;
-      case CollData::ReduceInt64:
-        op.result.clear();
-        for (const auto &contrib : op.contrib)
-            combine<std::int64_t>(op.result, contrib, op.rop);
-        return;
       case CollData::Bcast:
-        op.result.assign(op.contrib[op.root].begin(),
-                         op.contrib[op.root].end());
-        return;
       case CollData::Gather:
       case CollData::Allgather:
-        op.result.clear();
-        for (const auto &contrib : op.contrib)
-            op.result.insert(op.result.end(), contrib.begin(),
-                             contrib.end());
+        return;
+      case CollData::ReduceDouble:
+        combineSlices<double>(op.slices.data(), op.slice, op.expected,
+                              op.rop);
+        return;
+      case CollData::ReduceInt64:
+        combineSlices<std::int64_t>(op.slices.data(), op.slice,
+                                    op.expected, op.rop);
         return;
       case CollData::ExscanInt64: {
-        op.result.clear();
-        op.result.resize(op.contrib.size() * sizeof(std::int64_t));
-        auto *vals = reinterpret_cast<std::int64_t *>(op.result.data());
+        // Slice r becomes the sum of slices 0..r-1.
         std::int64_t running = 0;
-        for (std::size_t r = 0; r < op.contrib.size(); ++r) {
-            vals[r] = running;
-            if (!op.contrib[r].empty()) {
-                std::int64_t v;
-                std::memcpy(&v, op.contrib[r].data(), sizeof(v));
-                running += v;
-            }
+        for (int r = 0; r < op.expected; ++r) {
+            std::uint8_t *at = op.slices.data() + r * sizeof(running);
+            std::int64_t v;
+            std::memcpy(&v, at, sizeof(v));
+            std::memcpy(at, &running, sizeof(running));
+            running += v;
         }
         return;
       }
@@ -1120,26 +1103,31 @@ void
 Runtime::barrier(int g, CommId comm)
 {
     joinCollective(g, CollKind::Barrier, CollData::None, comm,
-                   ReduceOp::Sum, 0, nullptr, 0, 0, nullptr, 0, 0);
+                   ReduceOp::Sum, 0, nullptr, 0, 0);
 }
 
 void
 Runtime::allreduceDouble(int g, CommId comm, const double *in, double *out,
                          std::size_t n, ReduceOp op)
 {
-    joinCollective(g, CollKind::Allreduce, CollData::ReduceDouble, comm,
-                   op, 0, in, n * sizeof(double), n * sizeof(double), out,
-                   0, n * sizeof(double));
+    const std::size_t bytes = n * sizeof(double);
+    const std::uint8_t *result =
+        joinCollective(g, CollKind::Allreduce, CollData::ReduceDouble, comm, op,
+                       0, in, bytes, bytes);
+    if (bytes)
+        std::memcpy(out, result, bytes);
 }
 
 void
 Runtime::allreduceInt64(int g, CommId comm, const std::int64_t *in,
                         std::int64_t *out, std::size_t n, ReduceOp op)
 {
-    joinCollective(g, CollKind::Allreduce, CollData::ReduceInt64, comm, op,
-                   0, in, n * sizeof(std::int64_t),
-                   n * sizeof(std::int64_t), out, 0,
-                   n * sizeof(std::int64_t));
+    const std::size_t bytes = n * sizeof(std::int64_t);
+    const std::uint8_t *result =
+        joinCollective(g, CollKind::Allreduce, CollData::ReduceInt64, comm, op,
+                       0, in, bytes, bytes);
+    if (bytes)
+        std::memcpy(out, result, bytes);
 }
 
 void
@@ -1148,31 +1136,31 @@ Runtime::bcast(int g, CommId comm, Rank root, void *buf, std::size_t bytes,
 {
     // The root contributes its buffer and copies nothing back.
     const bool amRoot = localRank(g, comm) == root;
-    joinCollective(g, CollKind::Bcast, CollData::Bcast, comm,
-                   ReduceOp::Sum, root, amRoot ? buf : nullptr,
-                   amRoot ? bytes : 0, virtual_bytes,
-                   amRoot ? nullptr : buf, 0, amRoot ? 0 : bytes);
+    const std::uint8_t *result =
+        joinCollective(g, CollKind::Bcast, CollData::Bcast, comm,
+                       ReduceOp::Sum, root, amRoot ? buf : nullptr, bytes,
+                       virtual_bytes);
+    if (!amRoot && bytes)
+        std::memcpy(buf, result, bytes);
 }
 
-void
+const void *
 Runtime::gather(int g, CommId comm, Rank root, const void *in,
-                std::size_t bytes, void *out, std::size_t virtual_bytes)
+                std::size_t bytes, std::size_t virtual_bytes)
 {
     const bool amRoot = localRank(g, comm) == root;
-    const std::size_t outBytes =
-        amRoot ? bytes * commRef(comm).members.size() : 0;
-    joinCollective(g, CollKind::Gather, CollData::Gather, comm,
-                   ReduceOp::Sum, root, in, bytes, virtual_bytes,
-                   amRoot ? out : nullptr, 0, outBytes);
+    const std::uint8_t *result =
+        joinCollective(g, CollKind::Gather, CollData::Gather, comm,
+                       ReduceOp::Sum, root, in, bytes, virtual_bytes);
+    return amRoot ? result : nullptr;
 }
 
-void
+const void *
 Runtime::allgather(int g, CommId comm, const void *in, std::size_t bytes,
-                   void *out, std::size_t virtual_bytes)
+                   std::size_t virtual_bytes)
 {
-    joinCollective(g, CollKind::Allgather, CollData::Allgather, comm,
-                   ReduceOp::Sum, 0, in, bytes, virtual_bytes, out, 0,
-                   bytes * commRef(comm).members.size());
+    return joinCollective(g, CollKind::Allgather, CollData::Allgather, comm,
+                          ReduceOp::Sum, 0, in, bytes, virtual_bytes);
 }
 
 std::int64_t
@@ -1180,10 +1168,12 @@ Runtime::exscanInt64(int g, CommId comm, std::int64_t value)
 {
     // Only this rank's 8-byte slice of the scan leaves the shared op.
     const int lr = localRank(g, comm);
-    std::int64_t out = 0;
-    joinCollective(g, CollKind::Scan, CollData::ExscanInt64, comm,
-                   ReduceOp::Sum, 0, &value, sizeof(value), sizeof(value),
-                   &out, lr * sizeof(std::int64_t), sizeof(out));
+    const std::uint8_t *result =
+        joinCollective(g, CollKind::Scan, CollData::ExscanInt64, comm,
+                       ReduceOp::Sum, 0, &value, sizeof(value),
+                       sizeof(value));
+    std::int64_t out;
+    std::memcpy(&out, result + lr * sizeof(out), sizeof(out));
     return out;
 }
 

@@ -188,11 +188,14 @@ class Runtime
                         std::int64_t *out, std::size_t n, ReduceOp op);
     void bcast(int g, CommId comm, Rank root, void *buf, std::size_t bytes,
                std::size_t virtual_bytes);
-    /** Root receives size*P bytes ordered by rank; others pass nullptr. */
-    void gather(int g, CommId comm, Rank root, const void *in,
-                std::size_t bytes, void *out, std::size_t virtual_bytes);
-    void allgather(int g, CommId comm, const void *in, std::size_t bytes,
-                   void *out, std::size_t virtual_bytes);
+    /** Every rank contributes `bytes`; the root gets a read-only view of
+     *  the size*P result ordered by rank, the others get nullptr. The
+     *  view is valid until the caller's next simmpi call. */
+    const void *gather(int g, CommId comm, Rank root, const void *in,
+                       std::size_t bytes, std::size_t virtual_bytes);
+    /** As gather, but every rank gets the view. */
+    const void *allgather(int g, CommId comm, const void *in,
+                          std::size_t bytes, std::size_t virtual_bytes);
     std::int64_t exscanInt64(int g, CommId comm, std::int64_t value);
     void iterationPoint(int g, int iteration);
     /// @}
@@ -470,13 +473,20 @@ class Runtime
         CommId comm = commNull;
         ReduceOp rop = ReduceOp::Sum;
         Rank root = 0;
-        std::size_t bytes = 0;
+        std::size_t virtualBytes = 0;
+        /** Real bytes each contributing rank supplies (equal on every
+         *  rank, as MPI requires). */
+        std::size_t slice = 0;
         int expected = 0;
         int arrivedCount = 0;
         int consumedCount = 0;
         std::vector<bool> arrived;
-        std::vector<std::vector<std::uint8_t>> contrib;
-        std::vector<std::uint8_t> result;
+        /** The collective's one shared buffer: local rank r's slice at
+         *  r*slice (a bcast holds only the root's, at 0). Completion
+         *  combines in place, so it is also the result. Released slots
+         *  leave the bytes alone: a returned view stays readable until
+         *  the slot is acquired again. */
+        std::vector<std::uint8_t> slices;
         SimTime maxArrival = 0.0;
         bool failed = false;
         SimTime failTime = 0.0;
@@ -539,23 +549,23 @@ class Runtime
     // --- collectives ----------------------------------------------------------
     /**
      * Join the (comm, next-seq) collective, blocking until every member
-     * has arrived. The caller's share of the combined result is copied
-     * into out[0..out_bytes) from result offset out_offset — no
-     * per-rank result vector is materialized (out may be null when the
-     * caller receives nothing, e.g. barrier or non-root gather).
+     * has arrived. `in` holds this rank's `slice` bytes (null when it
+     * contributes nothing: barrier, non-root bcast). Returns the start
+     * of the op's shared result, valid until this rank's next simmpi
+     * call: the scheduler is cooperative, and only a later acquireColl
+     * can reuse the slot.
      */
-    void joinCollective(int g, CollKind kind, CollData data, CommId comm,
-                        ReduceOp rop, Rank root, const void *in,
-                        std::size_t in_bytes, std::size_t virtual_bytes,
-                        void *out, std::size_t out_offset,
-                        std::size_t out_bytes);
+    const std::uint8_t *joinCollective(int g, CollKind kind, CollData data,
+                                       CommId comm, ReduceOp rop, Rank root,
+                                       const void *in, std::size_t slice,
+                                       std::size_t virtual_bytes);
     void completeCollective(CollectiveOp &op);
     void reduceBytes(CollectiveOp &op);
     /** Slot of the active (comm, seq) op in collOps_, or -1. */
     int findColl(CommId comm, std::uint64_t seq) const;
     /** Claim a (recycled) slot for a new collective op. */
     int acquireColl(CommId comm, std::uint64_t seq);
-    /** Retire a slot, clearing state but keeping buffer capacities. */
+    /** Retire a slot, clearing its state but not its data bytes. */
     void releaseColl(int slot);
     /** Retire every active collective op (recovery paths). */
     void clearPendingColls();

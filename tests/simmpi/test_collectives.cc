@@ -102,32 +102,41 @@ TEST_P(CollectivesSweep, GatherCollectsInRankOrder)
     const int procs = GetParam();
     Runtime rt;
     std::vector<int> gathered;
+    int nonRootViews = 0;
     rt.run(options(procs), [&](Proc &proc) {
         const int mine = proc.rank() * 11;
-        std::vector<int> out(procs, -1);
-        proc.gather(0, &mine, sizeof(mine), out.data());
+        const auto *view =
+            static_cast<const int *>(proc.gather(0, &mine, sizeof(mine)));
         if (proc.rank() == 0)
-            gathered = out;
+            gathered.assign(view, view + procs);
+        else if (view != nullptr)
+            ++nonRootViews;
     });
     ASSERT_EQ(gathered.size(), static_cast<std::size_t>(procs));
     for (int r = 0; r < procs; ++r)
         EXPECT_EQ(gathered[r], r * 11);
+    EXPECT_EQ(nonRootViews, 0) << "only the root gets a gather view";
 }
 
-TEST_P(CollectivesSweep, AllgatherGivesEveryoneEverything)
+TEST_P(CollectivesSweep, AllgatherGivesEveryoneOneSharedView)
 {
     const int procs = GetParam();
     Runtime rt;
+    std::vector<const void *> views(procs, nullptr);
     std::vector<std::vector<int>> results(procs);
     rt.run(options(procs), [&](Proc &proc) {
         const int mine = proc.rank() + 5;
-        std::vector<int> out(procs, -1);
-        proc.allgather(&mine, sizeof(mine), out.data());
-        results[proc.rank()] = out;
+        const void *view = proc.allgather(&mine, sizeof(mine));
+        views[proc.rank()] = view;
+        const auto *vals = static_cast<const int *>(view);
+        results[proc.rank()].assign(vals, vals + procs);
     });
-    for (int r = 0; r < procs; ++r)
+    for (int r = 0; r < procs; ++r) {
+        // One result buffer per collective, not one copy per rank.
+        EXPECT_EQ(views[r], views[0]) << "rank " << r;
         for (int s = 0; s < procs; ++s)
             EXPECT_EQ(results[r][s], s + 5);
+    }
 }
 
 TEST_P(CollectivesSweep, ExscanIsExclusivePrefixSum)
@@ -229,6 +238,36 @@ TEST(Collectives, ManyIterationsOfMixedCollectives)
             final_sum = acc;
     });
     EXPECT_GT(final_sum, 0.0);
+}
+
+TEST(Collectives, AllgatherViewOutlivesTheSlotRelease)
+{
+    // The last rank to leave a collective releases its slot before it
+    // reads its view, and the next collectives reuse that slot. Every
+    // rank checks its whole view right after each call, over rounds
+    // whose values and slice sizes change, interleaved with allreduce.
+    constexpr int kProcs = 64, kRounds = 64;
+    Runtime rt;
+    std::vector<int> bad(kProcs, 0);
+    rt.run(options(kProcs), [&](Proc &proc) {
+        const int me = proc.rank();
+        std::int64_t mine[3];
+        for (int round = 0; round < kRounds; ++round) {
+            const int n = 1 + round % 3;
+            for (int k = 0; k < n; ++k)
+                mine[k] = (round + 1) * 100000 + me * 10 + k;
+            const auto *view = static_cast<const std::int64_t *>(
+                proc.allgather(mine, n * sizeof(std::int64_t)));
+            for (int r = 0; r < kProcs; ++r)
+                for (int k = 0; k < n; ++k)
+                    bad[me] += view[r * n + k] !=
+                               (round + 1) * 100000 + r * 10 + k;
+            bad[me] += proc.allreduce(static_cast<double>(round)) !=
+                       static_cast<double>(kProcs) * round;
+        }
+    });
+    for (int r = 0; r < kProcs; ++r)
+        EXPECT_EQ(bad[r], 0) << "rank " << r << " read a stale view";
 }
 
 TEST(Collectives, SingleRankCollectivesAreTrivial)

@@ -186,11 +186,20 @@ TEST(SimMpiRuntimeAlloc, SteadyStateCollectivesAreAllocationFree)
     std::uint64_t delta = ~0ull;
     double sum = 0.0;
     rt.run(options(8), [&](Proc &proc) {
+        // Gather and allgather hand out views of the shared result;
+        // bcast copies the root's slice out. The three slice sizes
+        // resize the same recycled slots within their capacity.
+        std::int32_t digest[64] = {};
         auto round = [&](int iters) {
             double acc = 0.0;
             for (int i = 0; i < iters; ++i) {
                 acc = proc.allreduce(static_cast<double>(proc.rank()));
                 proc.barrier();
+                proc.gather(0, &acc, sizeof(acc));
+                digest[0] = i;
+                proc.allgather(digest, sizeof(digest));
+                int token = i;
+                proc.bcast(0, &token, sizeof(token));
             }
             return acc;
         };
