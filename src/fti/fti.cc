@@ -73,6 +73,25 @@ Fti::pfsFile(const FtiConfig &config, int rank, int ckpt_id)
 }
 
 std::string
+Fti::pfsDiffDir(const FtiConfig &config, int rank)
+{
+    return execDir(config) + "/pfs/diff/rank" + std::to_string(rank);
+}
+
+std::string
+Fti::pfsBaseFile(const FtiConfig &config, int rank)
+{
+    return pfsDiffDir(config, rank) + "/base.fti";
+}
+
+std::string
+Fti::pfsDeltaFile(const FtiConfig &config, int rank, int ckpt_id)
+{
+    return pfsDiffDir(config, rank) + "/delta" + std::to_string(ckpt_id) +
+           ".fti";
+}
+
+std::string
 Fti::metaFile(const FtiConfig &config, int ckpt_id)
 {
     return execDir(config) + "/meta/ckpt" + std::to_string(ckpt_id) +
@@ -333,8 +352,14 @@ Fti::removeCheckpointFiles(int id, int level)
         store_.remove(partnerFile(config_, rank, owner, id));
     if (level == 3)
         store_.remove(parityFile(config_, rank, id));
-    if (level == 4)
+    if (level == 4) {
         store_.remove(pfsFile(config_, rank, id));
+        // A differential delta is read only together with its own
+        // checkpoint's meta, so it dies with it; base.fti stays, as
+        // every later delta is a diff against it.
+        if (config_.transform == storage::TransformKind::None)
+            store_.remove(pfsDeltaFile(config_, rank, id));
+    }
     if (rank == 0)
         store_.remove(metaFile(config_, id));
 }
@@ -558,10 +583,8 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
         });
         return out.size();
     }
-    const std::string dir = Fti::execDir(config) + "/pfs/diff/rank" +
-                            std::to_string(rank);
-    store.createDirectories(dir);
-    const std::string base = dir + "/base.fti";
+    store.createDirectories(Fti::pfsDiffDir(config, rank));
+    const std::string base = Fti::pfsBaseFile(config, rank);
     const storage::Blob base_blob =
         retried([&] { return storage::fetch(store, base); });
     if (!base_blob) {
@@ -574,11 +597,11 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
         });
         return blob.size();
     }
-    // Delta vs base, built straight into the stored payload:
-    // [u64 full size] then [u64 offset][u64 len][bytes] per changed
-    // block (the full size lets recovery handle growth/shrink). The
-    // changed blocks are found first, so the payload is sized once and
-    // filled by appends: no zero-fill, no regrowth.
+    // Delta vs base, built straight into one pooled buffer that the
+    // store then owns: [u64 full size] then [u64 offset][u64 len]
+    // [bytes] per changed block (the full size lets recovery handle
+    // growth/shrink). The changed blocks are found first, so the
+    // payload is sized once and filled in place.
     const std::size_t bs = config.diffBlockSize;
     std::vector<std::size_t> dirty;
     std::size_t payload_bytes = sizeof(std::uint64_t);
@@ -593,11 +616,12 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
         dirty.push_back(off);
         payload_bytes += 2 * sizeof(std::uint64_t) + len;
     }
-    std::vector<std::uint8_t> payload;
-    payload.reserve(payload_bytes);
-    const auto append = [&payload](const void *p, std::size_t n) {
-        const auto *b = static_cast<const std::uint8_t *>(p);
-        payload.insert(payload.end(), b, b + n);
+    storage::MutableBlob payload =
+        storage::BlobPool::local().acquire(payload_bytes);
+    std::uint8_t *out = payload.data();
+    const auto append = [&out](const void *p, std::size_t n) {
+        std::memcpy(out, p, n);
+        out += n;
     };
     const std::uint64_t full = blob.size();
     append(&full, sizeof(full));
@@ -610,11 +634,13 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
         append(blob.data() + off, len64);
         changed += len64;
     }
-    const std::string delta_path =
-        dir + "/delta" + std::to_string(ckpt_id) + ".fti";
-    const storage::Blob delta_blob =
-        storage::Blob::fromVector(std::move(payload));
-    retried([&] { store.write(delta_path, storage::Blob(delta_blob)); });
+    MATCH_ASSERT(out == payload.data() + payload_bytes,
+                 "L4 delta payload filled to its sized length");
+    const storage::Blob delta_blob = std::move(payload).seal();
+    retried([&] {
+        store.write(Fti::pfsDeltaFile(config, rank, ckpt_id),
+                    storage::Blob(delta_blob));
+    });
     return changed;
 }
 
@@ -1044,16 +1070,15 @@ Fti::readPfsBlob(const MetaInfo &meta, bool checked)
     // Differential path: base + the delta for this checkpoint. The
     // base and delta are immutable fetched views; the restored image
     // is materialized once into a fresh buffer.
-    const std::string dir =
-        execDir(config_) + "/pfs/diff/rank" + std::to_string(rank);
-    const storage::Blob base = fetchRetry(dir + "/base.fti", checked);
+    const storage::Blob base =
+        fetchRetry(pfsBaseFile(config_, rank), checked);
     if (!base) {
         if (checked)
             return storage::Blob();
         util::fatal("L4 recovery: no base image for rank %d", rank);
     }
-    const storage::Blob payload = fetchRetry(
-        dir + "/delta" + std::to_string(meta.ckptId) + ".fti", checked);
+    const storage::Blob payload =
+        fetchRetry(pfsDeltaFile(config_, rank, meta.ckptId), checked);
     if (!payload)
         return base; // checkpoint was the base itself
     MATCH_ASSERT(payload.size() >= sizeof(std::uint64_t),
@@ -1459,8 +1484,6 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         return;
     }
     // L4: corrupt the flushed PFS objects.
-    const std::string dir =
-        execDir(config) + "/pfs/diff/rank" + std::to_string(rank);
     std::vector<std::uint8_t> bytes;
     try {
         // Whole-file PFS copy (present when this checkpoint is the
@@ -1471,7 +1494,7 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
             store.writeAtomic(whole, bytes.data(), bytes.size());
         }
         // Base image.
-        const std::string base = dir + "/base.fti";
+        const std::string base = pfsBaseFile(config, rank);
         if (store.read(base, bytes) && !bytes.empty()) {
             bytes[bytes.size() / 2] ^= 0x5a;
             store.writeAtomic(base, bytes.data(), bytes.size());
@@ -1480,8 +1503,7 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         // the framing, which recovery parses before verifying), so the
         // corruption survives into the restored image even when the
         // delta overwrites the flipped base block.
-        const std::string delta =
-            dir + "/delta" + std::to_string(newest) + ".fti";
+        const std::string delta = pfsDeltaFile(config, rank, newest);
         if (store.read(delta, bytes) &&
             bytes.size() > 3 * sizeof(std::uint64_t)) {
             bytes[3 * sizeof(std::uint64_t)] ^= 0x5a;

@@ -175,6 +175,12 @@ class Fti
                                   int ckpt_id);
     static std::string pfsFile(const FtiConfig &config, int rank,
                                int ckpt_id);
+    /** The rank's differential L4 directory (transform none): the
+     *  base image plus the live checkpoint's delta against it. */
+    static std::string pfsDiffDir(const FtiConfig &config, int rank);
+    static std::string pfsBaseFile(const FtiConfig &config, int rank);
+    static std::string pfsDeltaFile(const FtiConfig &config, int rank,
+                                    int ckpt_id);
     static std::string metaFile(const FtiConfig &config, int ckpt_id);
     /// @}
 

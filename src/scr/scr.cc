@@ -62,6 +62,14 @@ Scr::markerFile(const ScrConfig &config, int dataset)
 }
 
 std::string
+Scr::partnerDir(const ScrConfig &config, int dataset, int holder,
+                int owner)
+{
+    return datasetDir(config, dataset, holder) + "-partner" +
+           std::to_string(owner);
+}
+
+std::string
 Scr::parityFile(const ScrConfig &config, int dataset, int group)
 {
     return jobDir(config) + "/dataset" + std::to_string(dataset) +
@@ -258,8 +266,7 @@ Scr::applyRedundancy()
         // Copy every routed file to the neighbour's directory.
         const int holder = (r + 1) % n;
         const std::string dst =
-            datasetDir(config_, writingDataset_, holder) + "-partner" +
-            std::to_string(r);
+            partnerDir(config_, writingDataset_, holder, r);
         store_.createDirectories(dst);
         for (const std::string &name : routedFiles_) {
             const std::string src =
@@ -647,10 +654,20 @@ Scr::completeCheckpoint(bool valid)
     }
 
     // Drop the previous dataset (SCR keeps a bounded cache); its
-    // flush, if any, already copied the files out.
+    // flush, if any, already copied the files out. Without its marker
+    // it is never a restart candidate, so every object of it goes:
+    // each rank's files, the partner copy the rank wrote and, on a
+    // group leader, the group's XOR parity.
     if (all_valid && lastCommitted_ >= 2) {
         const int prev = lastCommitted_ - 1;
         store_.removeTree(datasetDir(config_, prev, rank()));
+        if (config_.scheme == Redundancy::Partner)
+            store_.removeTree(
+                partnerDir(config_, prev, (rank() + 1) % size(), rank()));
+        if (config_.scheme == Redundancy::Xor &&
+            rank() % config_.groupSize == 0)
+            store_.remove(
+                parityFile(config_, prev, rank() / config_.groupSize));
         if (rank() == 0)
             store_.remove(markerFile(config_, prev));
     }
@@ -669,9 +686,8 @@ bool
 Scr::tryRebuildFromPartner(const std::string &name)
 {
     const int holder = (rank() + 1) % size();
-    const std::string src = datasetDir(config_, restartDataset_, holder) +
-                            "-partner" + std::to_string(rank()) + "/" +
-                            name;
+    const std::string src =
+        partnerDir(config_, restartDataset_, holder, rank()) + "/" + name;
     if (!store_.exists(src))
         return false;
     store_.createDirectories(datasetDir(config_, restartDataset_,

@@ -179,6 +179,9 @@ class Scr
     static std::string datasetDir(const ScrConfig &config, int dataset,
                                   int rank);
     static std::string markerFile(const ScrConfig &config, int dataset);
+    /** Partner-scheme copy of `owner`'s files, held by `holder`. */
+    static std::string partnerDir(const ScrConfig &config, int dataset,
+                                  int holder, int owner);
     static std::string parityFile(const ScrConfig &config, int dataset,
                                   int group);
     static std::string prefixDatasetDir(const ScrConfig &config,

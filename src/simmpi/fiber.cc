@@ -32,6 +32,36 @@
 #define MATCH_TSAN_SWITCH_TO_FIBER(f) (void)(f)
 #endif
 
+// AddressSanitizer has the same blind spot: its stack bounds (for
+// stack-use-after-return fake stacks and for unpoisoning on throw and
+// noreturn) are those of the current stack. Each switch is announced
+// with the sanitizer fiber API, compiled in only under
+// -fsanitize=address. A recycled stack may still carry the redzones of
+// the frames that never returned, so it is unpoisoned on reuse.
+#if defined(__SANITIZE_ADDRESS__)
+#define MATCH_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MATCH_ASAN_FIBERS 1
+#endif
+#endif
+
+#ifdef MATCH_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#define MATCH_ASAN_START_SWITCH(save, bottom, size)                         \
+    __sanitizer_start_switch_fiber(save, bottom, size)
+#define MATCH_ASAN_FINISH_SWITCH(save, bottom, size)                        \
+    __sanitizer_finish_switch_fiber(save, bottom, size)
+#define MATCH_ASAN_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define MATCH_ASAN_START_SWITCH(save, bottom, size)                         \
+    ((void)(save), (void)(bottom), (void)(size))
+#define MATCH_ASAN_FINISH_SWITCH(save, bottom, size)                        \
+    ((void)(save), (void)(bottom), (void)(size))
+#define MATCH_ASAN_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace match::simmpi
 {
 
@@ -96,7 +126,12 @@ Fiber::initStack()
 void
 Fiber::trampolineEntry()
 {
-    currentFiber->trampoline();
+    Fiber *self = currentFiber;
+    // First entry: no fake stack to restore; learn the scheduler's
+    // stack bounds for the switches back.
+    MATCH_ASAN_FINISH_SWITCH(nullptr, &self->asanSchedulerBottom_,
+                             &self->asanSchedulerSize_);
+    self->trampoline();
 }
 
 #else
@@ -130,6 +165,7 @@ FiberStackPool::acquire(std::size_t bytes)
     if (!free_.empty() && free_.back().size >= bytes) {
         FiberStack stack = std::move(free_.back());
         free_.pop_back();
+        MATCH_ASAN_UNPOISON(stack.data.get(), stack.size);
         return stack;
     }
     return allocStack(bytes);
@@ -184,6 +220,9 @@ Fiber::trampoline()
     }
     state_ = State::Finished;
     MATCH_TSAN_SWITCH_TO_FIBER(tsanParent_);
+    // A null save slot tells ASan this stack is never resumed.
+    MATCH_ASAN_START_SWITCH(nullptr, asanSchedulerBottom_,
+                            asanSchedulerSize_);
     matchCtxSwap(&sp_, schedulerSp_);
     util::panic("resumed a finished fiber");
 }
@@ -201,7 +240,10 @@ Fiber::resume()
     }
     tsanParent_ = MATCH_TSAN_CURRENT_FIBER();
     MATCH_TSAN_SWITCH_TO_FIBER(tsanFiber_);
+    MATCH_ASAN_START_SWITCH(&asanSchedulerFake_, stack_.data.get(),
+                            stack_.size);
     matchCtxSwap(&schedulerSp_, sp_);
+    MATCH_ASAN_FINISH_SWITCH(asanSchedulerFake_, nullptr, nullptr);
     currentFiber = nullptr;
 }
 
@@ -211,7 +253,11 @@ Fiber::yield()
     MATCH_ASSERT(currentFiber == this,
                  "yield() must be called from inside the fiber");
     MATCH_TSAN_SWITCH_TO_FIBER(tsanParent_);
+    MATCH_ASAN_START_SWITCH(&asanFake_, asanSchedulerBottom_,
+                            asanSchedulerSize_);
     matchCtxSwap(&sp_, schedulerSp_);
+    MATCH_ASAN_FINISH_SWITCH(asanFake_, &asanSchedulerBottom_,
+                             &asanSchedulerSize_);
 }
 
 } // namespace match::simmpi

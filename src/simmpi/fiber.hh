@@ -139,6 +139,13 @@ class Fiber
      *  happens-before machinery misfire on every yield. */
     void *tsanFiber_ = nullptr;
     void *tsanParent_ = nullptr;
+    /** AddressSanitizer switch state (unused without ASan): the fake
+     *  stacks saved across each side's switch and the scheduler stack
+     *  the fiber switches back to. */
+    void *asanFake_ = nullptr;
+    void *asanSchedulerFake_ = nullptr;
+    const void *asanSchedulerBottom_ = nullptr;
+    std::size_t asanSchedulerSize_ = 0;
 };
 
 } // namespace match::simmpi

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "src/fti/fti.hh"
@@ -266,6 +267,53 @@ TEST(Fti, L4DifferentialWritesOnlyChangedBlocks)
         fti.recover();
         EXPECT_DOUBLE_EQ(data[0], 2.0); // every rank dirtied block 0
         EXPECT_DOUBLE_EQ(data[1], 1.0);
+        EXPECT_DOUBLE_EQ(data[n - 1], 1.0);
+    });
+    Fti::purge(cfg);
+}
+
+TEST(Fti, L4DifferentialRetiresSupersededDeltas)
+{
+    auto cfg = testConfig("l4retire", 4);
+    cfg.diffBlockSize = 256;
+    Fti::purge(cfg);
+    const int procs = 4;
+    const int last = 6;
+    const std::size_t n = 1024;
+    Runtime rt;
+    rt.run(options(procs), [&](Proc &proc) {
+        fti::Fti fti(proc, cfg);
+        std::vector<double> data(n, 1.0);
+        fti.protect(0, data.data(), data.size() * sizeof(double));
+        for (int id = 1; id <= last; ++id) {
+            data[0] = id; // every delta dirties block 0
+            fti.checkpoint(id);
+        }
+        fti.finalize();
+    });
+    // Only the base image and the newest delta are reachable by a
+    // recovery; every superseded delta went with its checkpoint.
+    for (int r = 0; r < procs; ++r) {
+        std::set<std::string> names;
+        for (const auto &entry :
+             fs::directory_iterator(Fti::pfsDiffDir(cfg, r)))
+            names.insert(entry.path().filename().string());
+        EXPECT_EQ(names, (std::set<std::string>{
+                             "base.fti", "delta" + std::to_string(last) +
+                                             ".fti"}))
+            << "rank " << r;
+        EXPECT_FALSE(fs::exists(Fti::pfsFile(cfg, r, 1)))
+            << "the base checkpoint's whole-file copy is retired too";
+    }
+
+    Runtime rt2;
+    rt2.run(options(procs), [&](Proc &proc) {
+        fti::Fti fti(proc, cfg);
+        std::vector<double> data(n, 0.0);
+        fti.protect(0, data.data(), data.size() * sizeof(double));
+        EXPECT_EQ(fti.status(), last);
+        fti.recover();
+        EXPECT_DOUBLE_EQ(data[0], last);
         EXPECT_DOUBLE_EQ(data[n - 1], 1.0);
     });
     Fti::purge(cfg);

@@ -350,6 +350,91 @@ TEST(Scr, OldDatasetsArePruned)
     Scr::purge(cfg);
 }
 
+namespace
+{
+
+/** Regular files left under dataset `d`'s cache directory. */
+std::size_t
+filesUnderDataset(const ScrConfig &cfg, int d)
+{
+    const fs::path dir = fs::path(Scr::datasetDir(cfg, d, 0)).parent_path();
+    std::size_t files = 0;
+    if (fs::exists(dir)) {
+        for (const auto &entry : fs::recursive_directory_iterator(dir))
+            files += entry.is_regular_file() ? 1 : 0;
+    }
+    return files;
+}
+
+} // namespace
+
+TEST(Scr, XorPruneRetiresSupersededParity)
+{
+    const auto cfg = testConfig("xor-prune", Redundancy::Xor);
+    Scr::purge(cfg);
+    const int procs = 8; // two XOR groups of 4
+    const int last = 4;
+    Runtime rt1;
+    rt1.run(options(procs), [&](Proc &proc) {
+        Scr scr(proc, cfg);
+        std::vector<double> state(48);
+        for (int d = 1; d <= last; ++d) {
+            state.assign(48, proc.rank() + 0.25 * d);
+            scr.startCheckpoint();
+            writeState(scr.routeFile("s.bin"), state);
+            scr.completeCheckpoint(true);
+        }
+    });
+    // Exactly one dataset's parity survives: a dataset without its
+    // committed marker is never a restart candidate.
+    for (int d = 1; d <= last; ++d) {
+        for (int g = 0; g < 2; ++g)
+            EXPECT_EQ(fs::exists(Scr::parityFile(cfg, d, g)), d == last)
+                << "dataset " << d << " group " << g;
+        if (d < last) {
+            EXPECT_EQ(filesUnderDataset(cfg, d), 0u) << "dataset " << d;
+        }
+    }
+
+    // The surviving parity still rebuilds one lost member per group.
+    fs::remove_all(Scr::datasetDir(cfg, last, 1));
+    fs::remove_all(Scr::datasetDir(cfg, last, 6));
+    Runtime rt2;
+    rt2.run(options(procs), [&](Proc &proc) {
+        Scr scr(proc, cfg);
+        ASSERT_TRUE(scr.haveRestart());
+        scr.startRestart();
+        std::vector<double> state(48, 0.0);
+        ASSERT_TRUE(readState(scr.routeRestartFile("s.bin"), state));
+        for (double v : state)
+            EXPECT_DOUBLE_EQ(v, proc.rank() + 0.25 * last);
+        scr.completeRestart(true);
+    });
+    Scr::purge(cfg);
+}
+
+TEST(Scr, PartnerPruneRetiresSupersededCopies)
+{
+    const auto cfg = testConfig("partner-prune", Redundancy::Partner);
+    Scr::purge(cfg);
+    const int procs = 4;
+    Runtime rt;
+    rt.run(options(procs), [&](Proc &proc) {
+        Scr scr(proc, cfg);
+        std::vector<double> state(16);
+        for (int d = 1; d <= 3; ++d) {
+            state.assign(16, proc.rank() + 0.5 * d);
+            scr.startCheckpoint();
+            writeState(scr.routeFile("s.bin"), state);
+            scr.completeCheckpoint(true);
+        }
+    });
+    EXPECT_EQ(filesUnderDataset(cfg, 1), 0u);
+    EXPECT_EQ(filesUnderDataset(cfg, 2), 0u);
+    EXPECT_TRUE(fs::exists(Scr::partnerDir(cfg, 3, 1, 0)));
+    Scr::purge(cfg);
+}
+
 TEST(Scr, EndToEndUnderReinitDesign)
 {
     // The paper's Section V-E extension: replace FTI with SCR under the

@@ -67,22 +67,34 @@ TEST(Crc32c, IncrementalEqualsWholeAtEverySplit)
 TEST(Crc32c, MatchesBitwiseReferenceAtEveryAlignmentAndLength)
 {
     // Random payloads exercised at every start alignment within a
-    // 64-bit word and lengths straddling the kernels' 8-byte blocking.
+    // 64-bit word and lengths straddling the kernels' 8-byte blocking,
+    // the interleaved kernel's short blocks (3 x 256 B) and long
+    // blocks (3 x 8 KiB), up to 64 KiB.
     match::util::Rng rng(20260807);
-    std::vector<std::uint8_t> buf(4096 + 16);
+    std::vector<std::uint8_t> buf(65536 + 16);
     for (auto &b : buf)
         b = static_cast<std::uint8_t>(rng.below(256));
+    const std::size_t short_block = 3 * 256;
+    const std::size_t long_block = 3 * 8192;
+    std::vector<std::size_t> lengths = {0, 1, 7, 8, 9, 63, 64, 65, 1000,
+                                        4096, 65535, 65536};
+    for (std::size_t edge : {short_block, 2 * short_block, long_block,
+                             long_block + short_block, 2 * long_block}) {
+        for (std::size_t len : {edge - 9, edge - 1, edge, edge + 1,
+                                edge + 8, edge + 15})
+            lengths.push_back(len);
+    }
     for (std::size_t offset = 0; offset < 8; ++offset) {
-        for (std::size_t len : {std::size_t{0}, std::size_t{1},
-                                std::size_t{7}, std::size_t{8},
-                                std::size_t{9}, std::size_t{63},
-                                std::size_t{64}, std::size_t{65},
-                                std::size_t{1000}, std::size_t{4096}}) {
+        for (std::size_t len : lengths) {
             EXPECT_EQ(crc32c(buf.data() + offset, len),
                       referenceCrc32c(buf.data() + offset, len))
                 << "offset " << offset << " len " << len;
         }
     }
+    // A seeded continuation crosses the block seams at other offsets.
+    const std::uint32_t head = crc32c(0u, buf.data(), 333);
+    EXPECT_EQ(crc32c(head, buf.data() + 333, 65536 - 333),
+              referenceCrc32c(buf.data(), 65536));
 }
 
 TEST(Crc32c, DetectsSingleBitFlips)
